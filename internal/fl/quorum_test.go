@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -69,9 +70,22 @@ func TestQuorumSimFoldsLateUploads(t *testing.T) {
 	if !strings.Contains(j, telemetry.EvLateUpload) {
 		t.Fatal("no late_upload events in journal (OnTimeFrac 0.5 over 6 clients x 3 rounds)")
 	}
-	// Late uploads from the final round stay pending, never folded.
-	if sim.Pending() < 0 {
-		t.Fatal("impossible pending count")
+	// Late uploads from the final round stay pending, never folded:
+	// exactly the final-round selections that journaled neither an
+	// upload nor a drop.
+	const lastRound, selected = 2, 6
+	resolved := map[int]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var ev telemetry.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Round == lastRound && (ev.Ev == telemetry.EvClientUpload || ev.Ev == telemetry.EvDrop) {
+			resolved[ev.Client] = true
+		}
+	}
+	if want := selected - len(resolved); sim.Pending() != want {
+		t.Fatalf("pending = %d, want %d (final-round selections without upload or drop)", sim.Pending(), want)
 	}
 
 	_, journal, _ = runQuorumFederation(t, 1.0, 2)
