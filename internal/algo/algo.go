@@ -28,22 +28,42 @@ import (
 )
 
 // Aggregator is the server side of one algorithm. Implementations own
-// the payload encoding; transports only move bytes.
+// the payload encoding; transports only move bytes. Every aggregator
+// streams: uploads fold on arrival behind a cursor over the round's
+// selection (see stream.go), and transports drive the calls through
+// the shared round state machine (Round).
 type Aggregator interface {
 	// Broadcast produces the payload sent to every sampled client at the
 	// start of round. The returned slice is owned by the aggregator and
 	// reused on the next Broadcast/Final call.
 	Broadcast(round int) []byte
+	// BeginRound announces the round's selected client IDs — the
+	// canonical fold order after ascending sort. Call after Broadcast
+	// and before the first Collect of the round.
+	BeginRound(round int, selected []uint32)
 	// Collect consumes one sampled client's upload; payload is only
-	// valid during the call. All repo aggregators also implement
-	// StreamingAggregator: after BeginRound, Collect accepts uploads in
-	// ARBITRARY arrival order and the fold-on-arrival cursor restores
-	// the canonical ascending-client-ID fold order (bitwise identical
-	// to a sequential selection-order Collect pass). Without BeginRound
-	// the legacy contract holds: call sequentially in selection order.
-	// Malformed uploads are counted (see the aggregators' Dropped
-	// methods), never fatal.
+	// valid during the call. Uploads may arrive in any order: the
+	// fold-on-arrival cursor restores the canonical ascending-client-ID
+	// fold order, so the result is bitwise identical to a sequential
+	// selection-order pass. Malformed uploads are counted (see the
+	// aggregators' Dropped methods), never fatal.
 	Collect(round int, client uint32, trainSize int, payload []byte)
+	// CollectLate folds a straggler's upload carried over from an
+	// earlier round, bypassing the cursor entirely: late uploads fold at
+	// their delivery position (FedBuff semantics), even when the same
+	// client is also selected — and separately tracked — this round.
+	CollectLate(round int, client uint32, trainSize int, payload []byte)
+	// MarkAbsent tells the reducer a selected client will not deliver
+	// this round (dead connection, straggler deadline, injected drop,
+	// deferred to a later round), so the cursor can advance past it
+	// instead of staging every later upload until FinishRound.
+	MarkAbsent(round int, client uint32)
+	// SetStagingLimit bounds how many out-of-order uploads may park at
+	// once. n <= 0 (the default) bounds by the round's selection size —
+	// lossless, preserving every upload. With a hard limit, an overflow
+	// evicts the staged upload farthest from the cursor (counted in
+	// "agg.staged_overflow"): the work closest to folding survives.
+	SetStagingLimit(n int)
 	// FinishRound folds the collected uploads into the global model.
 	// Called once per round, after the transport has delivered every
 	// upload that arrived (which may be none).

@@ -121,7 +121,7 @@ func (a *FedAvgAggregator) Collect(round int, client uint32, trainSize int, payl
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (a *FedAvgAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.span(round, "agg.collect").End()

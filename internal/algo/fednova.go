@@ -152,7 +152,7 @@ func (a *FedNovaAggregator) Collect(round int, client uint32, trainSize int, pay
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (a *FedNovaAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.span(round, "agg.collect").End()

@@ -149,7 +149,7 @@ func (a *SCAFFOLDAggregator) Collect(round int, client uint32, trainSize int, pa
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (a *SCAFFOLDAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.span(round, "agg.collect").End()

@@ -293,7 +293,7 @@ func (a *SPATLAggregator) Collect(round int, client uint32, trainSize int, paylo
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor.
 func (a *SPATLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.span(round, "agg.collect").End()

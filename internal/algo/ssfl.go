@@ -244,7 +244,7 @@ func (a *SSFLAggregator) Collect(round int, client uint32, trainSize int, payloa
 	}
 }
 
-// CollectLate implements StreamingAggregator: a carried-over straggler
+// CollectLate implements Aggregator: a carried-over straggler
 // upload folds at its delivery position, outside the cursor. A stale
 // score upload arriving after the mask was agreed fails the packed
 // decode and counts as dropped, same as the buffered path.

@@ -28,36 +28,9 @@ import (
 // sequence of float64 operations regardless of chunking — the property
 // the StreamFoldRef* serial references pin down.
 
-// StreamingAggregator is the streaming contract every aggregator in
-// this package implements on top of Aggregator. Transports that know
-// the round's selection call BeginRound so in-order uploads fold with
-// zero staging; transports that cannot (or aggregators driven without
-// BeginRound) degrade to folding in arrival order, the pre-streaming
-// behavior.
-type StreamingAggregator interface {
-	Aggregator
-	// BeginRound announces the round's selected client IDs — the
-	// canonical fold order after ascending sort. Call after Broadcast
-	// and before the first Collect of the round. Without it, Collect
-	// folds uploads in arrival order.
-	BeginRound(round int, selected []uint32)
-	// CollectLate folds a straggler's upload carried over from an
-	// earlier round, bypassing the cursor entirely: late uploads fold at
-	// their delivery position (FedBuff semantics), even when the same
-	// client is also selected — and separately tracked — this round.
-	CollectLate(round int, client uint32, trainSize int, payload []byte)
-	// MarkAbsent tells the reducer a selected client will not deliver
-	// this round (dead connection, straggler deadline, injected drop),
-	// so the cursor can advance past it instead of staging every later
-	// upload until FinishRound.
-	MarkAbsent(round int, client uint32)
-	// SetStagingLimit bounds how many out-of-order uploads may park at
-	// once. n <= 0 (the default) bounds by the round's selection size —
-	// lossless, preserving every upload. With a hard limit, an overflow
-	// evicts the staged upload farthest from the cursor (counted in
-	// "agg.staged_overflow"): the work closest to folding survives.
-	SetStagingLimit(n int)
-}
+// StreamingAggregator is the name the streaming contract had while it
+// was optional. Every aggregator streams, so it is Aggregator.
+type StreamingAggregator = Aggregator
 
 // stagedEntry is one parked out-of-order upload.
 type stagedEntry[U any] struct {
@@ -94,7 +67,7 @@ func (s *stream[U]) wireStream(reg *telemetry.Registry) {
 	reg.Attach("agg.staged_overflow", &s.overflow)
 }
 
-// BeginRound implements StreamingAggregator (promoted). The selection
+// BeginRound implements Aggregator (promoted). The selection
 // is copied and sorted ascending — the canonical fold order.
 func (s *stream[U]) BeginRound(round int, selected []uint32) {
 	s.order = append(s.order[:0], selected...)
@@ -120,7 +93,7 @@ func (s *stream[U]) BeginRound(round int, selected []uint32) {
 	s.stagedG.Set(0)
 }
 
-// SetStagingLimit implements StreamingAggregator (promoted).
+// SetStagingLimit implements Aggregator (promoted).
 func (s *stream[U]) SetStagingLimit(n int) { s.limit = n }
 
 // StagingPeak reports the high-water mark of concurrently staged
@@ -131,7 +104,7 @@ func (s *stream[U]) StagingPeak() int64 { return s.peak.Value() }
 // the same counter the registry exposes as "agg.staged_overflow".
 func (s *stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
 
-// MarkAbsent implements StreamingAggregator (promoted): resolve a
+// MarkAbsent implements Aggregator (promoted): resolve a
 // selected client's position without a fold so the cursor can pass it.
 func (s *stream[U]) MarkAbsent(round int, client uint32) {
 	pos, ok := s.find(client)
@@ -153,18 +126,15 @@ func (s *stream[U]) find(client uint32) (int, bool) {
 
 // ingest routes one decoded upload: fold at the cursor, park early
 // arrivals, fold unknown/duplicate contributors at their arrival
-// position (the buffered path's append semantics for extras).
+// position (the buffered path's append semantics for extras). Before
+// any BeginRound every client is unknown, so uploads fold in arrival
+// order.
 func (s *stream[U]) ingest(client uint32, u U) {
-	if len(s.order) == 0 {
-		// No canonical order announced: arrival order IS the fold order.
-		s.foldRelease(u)
-		return
-	}
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
-		// Not selected this round, or a duplicate of a resolved
-		// position: fold where it arrived — extras have no slot in the
-		// canonical order.
+		// Not selected this round (or no selection announced), or a
+		// duplicate of a resolved position: fold where it arrived —
+		// extras have no slot in the canonical order.
 		s.foldRelease(u)
 		return
 	}
@@ -263,9 +233,9 @@ func (s *stream[U]) finishStream() {
 
 // Interface conformance: all six algorithm cores stream.
 var (
-	_ StreamingAggregator = (*FedAvgAggregator)(nil)
-	_ StreamingAggregator = (*FedNovaAggregator)(nil)
-	_ StreamingAggregator = (*SCAFFOLDAggregator)(nil)
-	_ StreamingAggregator = (*SPATLAggregator)(nil)
-	_ StreamingAggregator = (*SSFLAggregator)(nil)
+	_ Aggregator = (*FedAvgAggregator)(nil)
+	_ Aggregator = (*FedNovaAggregator)(nil)
+	_ Aggregator = (*SCAFFOLDAggregator)(nil)
+	_ Aggregator = (*SPATLAggregator)(nil)
+	_ Aggregator = (*SSFLAggregator)(nil)
 )

@@ -23,7 +23,7 @@ import (
 // streamFixture is one aggregator wired with a round's worth of uploads
 // and a bitwise check against the serial reference.
 type streamFixture struct {
-	agg      StreamingAggregator
+	agg      Aggregator
 	round    int
 	ids      []uint32
 	sizes    []int

@@ -8,7 +8,7 @@ import (
 
 // Stream exports the fold-on-arrival engine for aggregators built
 // outside this package (internal/hetero). Embedding a Stream gives an
-// aggregator the full StreamingAggregator surface minus CollectLate:
+// aggregator the streaming half of the Aggregator surface:
 // BeginRound, MarkAbsent, SetStagingLimit, StagingPeak and
 // StagingOverflow are promoted from the engine; the embedding
 // aggregator wires its fold/release callbacks with Init and routes

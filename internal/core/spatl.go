@@ -47,7 +47,7 @@ type Client = fl.Client
 type SPATL struct {
 	Opts Options
 
-	drv      fl.Driver
+	sim      *fl.Sim
 	agg      *algo.SPATLAggregator
 	trainers []*algo.SPATLTrainer
 
@@ -81,12 +81,12 @@ func (s *SPATL) Setup(env *fl.Env) {
 		s.trainers[i] = algo.NewSPATLTrainer(c, s.Opts, cfg)
 		trainers[i] = s.trainers[i]
 	}
-	s.drv = fl.NewDriver(env, s.agg, trainers)
+	s.sim = fl.NewSim(env, s.agg, trainers)
 }
 
 // Round implements fl.Algorithm: one SPATL communication round.
 func (s *SPATL) Round(env *fl.Env, round int, selected []int) {
-	s.drv.Round(round, selected)
+	s.sim.Round(round, selected)
 	for _, ci := range selected {
 		if sel := s.trainers[ci].LastSelection; sel != nil {
 			s.LastSelections[ci] = sel

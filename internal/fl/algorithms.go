@@ -38,7 +38,7 @@ func WeightedAverage(states [][]float32, weights []float64) []float32 {
 // locally; the server averages uploaded models weighted by local data
 // size.
 type FedAvg struct {
-	drv Driver
+	sim *Sim
 }
 
 // Name implements Algorithm.
@@ -51,11 +51,11 @@ func (f *FedAvg) Setup(env *Env) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedAvgTrainer(c, cfg)
 	}
-	f.drv = NewDriver(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
+	f.sim = NewSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
 }
 
 // Round implements Algorithm.
-func (f *FedAvg) Round(env *Env, round int, selected []int) { f.drv.Round(round, selected) }
+func (f *FedAvg) Round(env *Env, round int, selected []int) { f.sim.Round(round, selected) }
 
 // EvalModel implements Algorithm.
 func (*FedAvg) EvalModel(env *Env, c *Client) *models.SplitModel { return env.Global }
@@ -64,7 +64,7 @@ func (*FedAvg) EvalModel(env *Env, c *Client) *models.SplitModel { return env.Gl
 // term restraining drift from the global model; per-round payload equals
 // FedAvg's.
 type FedProx struct {
-	drv Driver
+	sim *Sim
 }
 
 // Name implements Algorithm.
@@ -77,11 +77,11 @@ func (f *FedProx) Setup(env *Env) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedProxTrainer(c, cfg)
 	}
-	f.drv = NewDriver(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
+	f.sim = NewSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
 }
 
 // Round implements Algorithm.
-func (f *FedProx) Round(env *Env, round int, selected []int) { f.drv.Round(round, selected) }
+func (f *FedProx) Round(env *Env, round int, selected []int) { f.sim.Round(round, selected) }
 
 // EvalModel implements Algorithm.
 func (*FedProx) EvalModel(env *Env, c *Client) *models.SplitModel { return env.Global }
@@ -92,7 +92,7 @@ func (*FedProx) EvalModel(env *Env, c *Client) *models.SplitModel { return env.G
 // the per-round payload is ≈2× FedAvg's — the trade-off the SPATL paper
 // highlights.
 type SCAFFOLD struct {
-	drv Driver
+	sim *Sim
 	agg *algo.SCAFFOLDAggregator
 }
 
@@ -107,11 +107,11 @@ func (s *SCAFFOLD) Setup(env *Env) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewSCAFFOLDTrainer(c, cfg)
 	}
-	s.drv = NewDriver(env, s.agg, trainers)
+	s.sim = NewSim(env, s.agg, trainers)
 }
 
 // Round implements Algorithm.
-func (s *SCAFFOLD) Round(env *Env, round int, selected []int) { s.drv.Round(round, selected) }
+func (s *SCAFFOLD) Round(env *Env, round int, selected []int) { s.sim.Round(round, selected) }
 
 // EvalModel implements Algorithm.
 func (*SCAFFOLD) EvalModel(env *Env, c *Client) *models.SplitModel { return env.Global }
@@ -126,7 +126,7 @@ func (s *SCAFFOLD) ControlVariate() []float32 { return s.agg.ControlVariate() }
 // buffers, which the server averages and redistributes — giving the ≈2×
 // per-round uplink the SPATL paper reports for FedNova.
 type FedNova struct {
-	drv Driver
+	sim *Sim
 	agg *algo.FedNovaAggregator
 }
 
@@ -141,11 +141,11 @@ func (f *FedNova) Setup(env *Env) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedNovaTrainer(c, cfg)
 	}
-	f.drv = NewDriver(env, f.agg, trainers)
+	f.sim = NewSim(env, f.agg, trainers)
 }
 
 // Round implements Algorithm.
-func (f *FedNova) Round(env *Env, round int, selected []int) { f.drv.Round(round, selected) }
+func (f *FedNova) Round(env *Env, round int, selected []int) { f.sim.Round(round, selected) }
 
 // EvalModel implements Algorithm.
 func (*FedNova) EvalModel(env *Env, c *Client) *models.SplitModel { return env.Global }
@@ -159,7 +159,7 @@ func (*FedNova) EvalModel(env *Env, c *Client) *models.SplitModel { return env.G
 type SSFL struct {
 	Opts algo.SSFLOptions
 
-	drv Driver
+	sim *Sim
 	agg *algo.SSFLAggregator
 }
 
@@ -174,11 +174,11 @@ func (s *SSFL) Setup(env *Env) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewSSFLTrainer(c, s.Opts, cfg)
 	}
-	s.drv = NewDriver(env, s.agg, trainers)
+	s.sim = NewSim(env, s.agg, trainers)
 }
 
 // Round implements Algorithm.
-func (s *SSFL) Round(env *Env, round int, selected []int) { s.drv.Round(round, selected) }
+func (s *SSFL) Round(env *Env, round int, selected []int) { s.sim.Round(round, selected) }
 
 // EvalModel implements Algorithm: the global encoder composed with the
 // client's private predictor, as for SPATL.

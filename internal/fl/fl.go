@@ -78,19 +78,19 @@ type Client = algo.Client
 
 // In-process topology kinds (Topology.Kind).
 const (
-	TopoFlat    = "flat"    // Sim: flat collection, one hop
-	TopoSharded = "sharded" // ShardedSim: two-level collection tree
-	TopoQuorum  = "quorum"  // QuorumSim: deterministic async quorum rounds
+	TopoFlat    = "flat"    // flat collection, one hop
+	TopoSharded = "sharded" // two-level collection tree
+	TopoQuorum  = "quorum"  // deterministic async quorum rounds
 )
 
-// Topology selects the in-process round driver an algorithm's Setup
-// wires (see NewDriver): the flat Sim, the sharded collection tree, or
-// the deterministic async-quorum loop. The zero value is the flat Sim —
-// every pre-existing caller keeps its behavior.
+// Topology selects how the in-process Sim delivers a round and when it
+// closes it: flat collection, the sharded collection tree, or
+// deterministic async-quorum rounds. The zero value is flat — every
+// pre-existing caller keeps its behavior.
 type Topology struct {
 	Kind string // "" or TopoFlat | TopoSharded | TopoQuorum
 
-	// Shards is the collection-tree width (TopoSharded; default 2).
+	// Shards is the collection-tree width (TopoSharded; below 1 means 1).
 	Shards int
 	// OnTimeFrac is the fraction of a round's uploads that beat the
 	// quorum close (TopoQuorum); the rest fold into the next round as
@@ -108,8 +108,8 @@ type Env struct {
 	Meter   *comm.Meter
 	Rng     *rand.Rand
 
-	// Topo selects the in-process round driver (NewDriver). The zero
-	// value is the flat Sim.
+	// Topo selects the Sim's delivery and close rule. The zero value is
+	// flat collection.
 	Topo Topology
 
 	// Tel, when set via EnableTelemetry, receives spans, metrics and

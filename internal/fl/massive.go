@@ -24,11 +24,13 @@ import (
 // MassiveSim exists to exercise and benchmark federation mechanics at
 // a scale where per-upload overhead dominates.
 //
-// Rounds run through the sharded collection tree (algo.ShardBuffer →
-// FoldShards order) exactly as ShardedSim does. With OnTimeFrac < 1 the
-// round closes at quorum: the deterministic late fraction of sampled
-// uploads misses the round and folds into the next one (FedBuff-style),
-// journaled as late_upload events and counted in "fl.late_uploads".
+// Rounds run through the sharded collection tree (algo.ShardBuffer in
+// shard-ID order) exactly as the sharded Sim does, on the same
+// algo.Round, so the journal carries the same events in the same order.
+// With OnTimeFrac < 1 the round closes at quorum: the deterministic
+// late fraction of sampled uploads misses the round and folds into the
+// next one (FedBuff-style), journaled as late_upload events and counted
+// in "fl.late_uploads".
 type MassiveConfig struct {
 	Clients  int // total simulated clients
 	PerRound int // sampled per round (0 = all)
@@ -48,11 +50,6 @@ type MassiveConfig struct {
 	// by one in selection order, the flat server's code path. The
 	// baseline for the sharded-vs-flat federation benchmarks.
 	FlatCollect bool
-
-	// PerClientEvents journals client_upload per accepted upload. At
-	// 100k sampled clients that is 100k journal lines per round, so it
-	// is opt-in; shard/round lifecycle events are always emitted.
-	PerClientEvents bool
 
 	Tel *telemetry.Set
 }
@@ -75,23 +72,6 @@ type MassiveResult struct {
 // enough that round memory is governed by the batch, not the selection.
 const massiveSynthBatch = 1024
 
-// lateUpload is a straggler's payload carried into the next round.
-type lateUpload struct {
-	client    uint32
-	trainSize int
-	payload   []byte
-}
-
-// massiveOnTime deterministically decides whether a sampled client's
-// upload beats the quorum deadline this round.
-func massiveOnTime(seed int64, round, client int, frac float64) bool {
-	if frac <= 0 || frac >= 1 {
-		return true
-	}
-	rng := rand.New(rand.NewSource(algo.ClientSeed(seed, round, client) ^ 0x1a7e))
-	return rng.Float64() < frac
-}
-
 // RunMassive executes a massive synthetic federation and returns its
 // summary. The run is deterministic in the config: same config, same
 // final state bitwise, whatever the shard count (the sharded fold is
@@ -103,8 +83,9 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	if cfg.PerRound <= 0 || cfg.PerRound > cfg.Clients {
 		cfg.PerRound = cfg.Clients
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
+	shards := cfg.Shards
+	if cfg.FlatCollect {
+		shards = 1 // one pass over the whole selection, collected per upload
 	}
 	spec := cfg.Spec
 	if spec.Arch == "" {
@@ -121,68 +102,47 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 	nState := global.StateLen(models.ScopeAll)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &MassiveResult{Rounds: cfg.Rounds}
+	r := algo.NewRound(agg, tel)
 
-	var pendingLate []lateUpload
+	var pendingLate []algo.Upload
 	var sb algo.ShardBuffer
-	var entries []algo.Upload
-	trainSize := func(ci int) int { return 50 + ci%101 }
 	batch := make([][]byte, 0, massiveSynthBatch)
 	for round := 0; round < cfg.Rounds; round++ {
 		bcast := agg.Broadcast(round)
 		selected := rng.Perm(cfg.Clients)[:cfg.PerRound]
 		sort.Ints(selected)
-		sa := beginStreamRound(agg, round, selected)
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(bcast))))
+		sel := make([]algo.Upload, len(selected))
+		for pos, ci := range selected {
+			sel[pos] = algo.Upload{Client: uint32(ci), TrainSize: 50 + ci%101}
+		}
+		r.Begin(round, sel, len(bcast))
 
-		// Stragglers from the previous round land first: fold them into
-		// this round before its own collect, FedBuff-style. CollectLate
-		// bypasses the streaming cursor, so a late upload never consumes
-		// the slot of a client also selected this round. Each payload is
-		// a pooled buffer held since its synthesis; the fold is its last
-		// use, so it recycles immediately.
+		// Stragglers from the previous round land first, FedBuff-style.
+		// Each payload is a pooled buffer held since its synthesis; the
+		// fold is its last use, so it recycles immediately.
 		for _, lu := range pendingLate {
 			lateCtr.Inc()
 			res.Late++
-			res.Folded++
-			res.UpBytes += int64(len(lu.payload))
-			tel.Emit(telemetry.LateUpload(round, int(lu.client), int64(len(lu.payload))))
-			if sa != nil {
-				sa.CollectLate(round, lu.client, lu.trainSize, lu.payload)
-			} else {
-				agg.Collect(round, lu.client, lu.trainSize, lu.payload)
-			}
-			comm.PutBuf(lu.payload)
+			res.UpBytes += int64(len(lu.Payload))
+			r.Late(lu)
+			comm.PutBuf(lu.Payload)
 		}
 		pendingLate = pendingLate[:0]
 
-		// Shard-major collection, identical order to ShardedSim. Uploads
-		// are synthesized in bounded pooled batches — a copy of the
-		// broadcast with one client-and-round-specific float patched, a
-		// valid dense payload without any training — and every buffer
+		// Shard-major collection, identical order to the sharded Sim.
+		// Uploads are synthesized in bounded pooled batches — a copy of
+		// the broadcast with one client-and-round-specific float patched,
+		// a valid dense payload without any training — and every buffer
 		// returns to the pool the moment its bytes are folded (the
 		// aggregator decodes into its own buffers and ShardBuffer.Add
 		// copies). Only stragglers' buffers outlive the batch: they are
 		// carried into the next round and recycled after the late fold.
 		// Peak upload memory per round is O(batch + stragglers), not
 		// O(selected).
-		onTime := 0
-		collected := 0
-		pos := 0
-		for sh := 0; sh < cfg.Shards; sh++ {
-			_, shardHi := algo.ShardRange(sh, cfg.Clients, cfg.Shards)
-			lo := pos
-			for pos < len(selected) && selected[pos] < shardHi {
-				pos++
-			}
-			if pos == lo {
-				continue
-			}
+		forShards(selected, cfg.Clients, shards, func(sh, lo, hi int) {
 			sb.Reset()
-			for chunkLo := lo; chunkLo < pos; chunkLo += massiveSynthBatch {
-				chunkHi := chunkLo + massiveSynthBatch
-				if chunkHi > pos {
-					chunkHi = pos
-				}
+			for chunkLo := lo; chunkLo < hi; chunkLo += massiveSynthBatch {
+				chunkHi := min(chunkLo+massiveSynthBatch, hi)
 				batch = batch[:chunkHi-chunkLo]
 				tensor.Parallel(len(batch), func(blo, bhi int) {
 					for b := blo; b < bhi; b++ {
@@ -195,47 +155,36 @@ func RunMassive(cfg MassiveConfig) (*MassiveResult, error) {
 					}
 				})
 				for b, up := range batch {
-					ci := selected[chunkLo+b]
-					if !massiveOnTime(cfg.Seed, round, ci, cfg.OnTimeFrac) {
-						// Missed the quorum close: folds next round, so this
-						// round's cursor must not wait for it.
-						if sa != nil {
-							sa.MarkAbsent(round, uint32(ci))
-						}
-						pendingLate = append(pendingLate, lateUpload{client: uint32(ci), trainSize: trainSize(ci), payload: up})
+					pos := chunkLo + b
+					if !onTime(cfg.Seed, round, selected[pos], cfg.OnTimeFrac) {
+						// Missed the quorum close: folds next round.
+						r.Defer(pos)
+						lu := sel[pos]
+						lu.Payload = up
+						pendingLate = append(pendingLate, lu)
 						continue
 					}
-					onTime++
 					res.UpBytes += int64(len(up))
-					if cfg.PerClientEvents {
-						tel.Emit(telemetry.ClientUpload(round, ci, int64(len(up)), 0))
-					}
 					if cfg.FlatCollect {
-						agg.Collect(round, uint32(ci), trainSize(ci), up)
-						collected++
+						r.Collect(pos, up, r.Elapsed())
 					} else {
-						sb.Add(uint32(ci), trainSize(ci), up)
+						sb.Add(sel[pos].Client, sel[pos].TrainSize, up)
 					}
 					comm.PutBuf(up)
 				}
 			}
 			if cfg.FlatCollect {
-				continue
+				return
 			}
 			res.RelayBytes += int64(len(sb.Payload()))
 			res.ShardPushes++
-			tel.Emit(telemetry.ShardPush(round, sh, sb.Len(), int64(len(sb.Payload()))))
-			entries, _ = algo.ShardEntries(entries[:0], sb.Payload())
-			algo.CollectAll(agg, round, entries)
-			collected += len(entries)
-		}
-		res.Folded += int64(collected)
+			r.Shard(sh, lo, hi, sb.Payload(), nil)
+		})
 		if cfg.OnTimeFrac > 0 && cfg.OnTimeFrac < 1 {
-			tel.Emit(telemetry.Quorum(round, onTime))
+			r.MetQuorum()
 		}
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, collected, 0))
-		tel.Emit(telemetry.RoundEnd(round, res.UpBytes, 0))
+		r.Finish(res.UpBytes, 0)
+		res.Folded += int64(r.Folded())
 	}
 	res.FinalState = global.State(models.ScopeAll)
 	return res, nil

@@ -11,9 +11,10 @@ import (
 	"spatl/internal/telemetry"
 )
 
-// runQuorumFederation drives a FedAvg federation through QuorumSim with
-// a zero-time journal and returns (final state, journal bytes, sim).
-func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, []byte, *QuorumSim) {
+// runQuorumFederation drives a FedAvg federation through the quorum
+// topology with a zero-time journal and returns (final state, journal
+// bytes, sim).
+func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, []byte, *Sim) {
 	t.Helper()
 	cfg := quickCfg(29)
 	cfg.LocalEpochs = 1
@@ -22,12 +23,13 @@ func runQuorumFederation(t *testing.T, onTime float64, rounds int) ([]float32, [
 	tel := telemetry.New(&journal)
 	tel.Journal.SetZeroTime(true)
 	env.EnableTelemetry(tel)
+	env.Topo = Topology{Kind: TopoQuorum, OnTimeFrac: onTime}
 	acfg := env.AlgoConfig()
 	trainers := make([]algo.Trainer, len(env.Clients))
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedAvgTrainer(c, acfg)
 	}
-	sim := NewQuorumSim(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers, onTime)
+	sim := NewSim(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers)
 	sel := make([]int, env.Cfg.NumClients)
 	for i := range sel {
 		sel[i] = i
@@ -95,40 +97,46 @@ func TestQuorumSimFoldsLateUploads(t *testing.T) {
 	}
 }
 
-// TestNewDriverTopologySwitch: NewDriver wires the driver the Topology
-// asks for, defaulting to the flat Sim.
-func TestNewDriverTopologySwitch(t *testing.T) {
+// TestSimTopologySwitch: NewSim delivers by the environment's Topology
+// — pooled shard pushes for the sharded tree, a quorum close for the
+// quorum topology, neither for the flat default — and rejects an
+// unknown kind.
+func TestSimTopologySwitch(t *testing.T) {
 	for _, tc := range []struct {
-		topo Topology
-		want string
+		topo          Topology
+		shard, quorum bool
 	}{
-		{Topology{}, "*fl.Sim"},
-		{Topology{Kind: TopoFlat}, "*fl.Sim"},
-		{Topology{Kind: TopoSharded, Shards: 2}, "*fl.ShardedSim"},
-		{Topology{Kind: TopoQuorum, OnTimeFrac: 0.5}, "*fl.QuorumSim"},
+		{Topology{}, false, false},
+		{Topology{Kind: TopoFlat}, false, false},
+		{Topology{Kind: TopoSharded, Shards: 2}, true, false},
+		{Topology{Kind: TopoQuorum, OnTimeFrac: 0.5}, false, true},
 	} {
 		env := testEnv(t, 2, quickCfg(3))
+		var journal bytes.Buffer
+		tel := telemetry.New(&journal)
+		env.EnableTelemetry(tel)
 		env.Topo = tc.topo
 		acfg := env.AlgoConfig()
 		trainers := make([]algo.Trainer, len(env.Clients))
 		for i, c := range env.Clients {
 			trainers[i] = algo.NewFedAvgTrainer(c, acfg)
 		}
-		drv := NewDriver(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers)
-		if got := typeName(drv); got != tc.want {
-			t.Fatalf("topology %+v wired %s, want %s", tc.topo, got, tc.want)
+		NewSim(env, algo.NewFedAvgAggregator(env.Global, acfg), trainers).Round(0, []int{0, 1})
+		tel.Journal.Flush()
+		j := journal.String()
+		if got := strings.Contains(j, telemetry.EvShardPush); got != tc.shard {
+			t.Fatalf("topology %+v: shard_push journaled = %v, want %v", tc.topo, got, tc.shard)
+		}
+		if got := strings.Contains(j, telemetry.EvQuorum); got != tc.quorum {
+			t.Fatalf("topology %+v: quorum_reached journaled = %v, want %v", tc.topo, got, tc.quorum)
 		}
 	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case *Sim:
-		return "*fl.Sim"
-	case *ShardedSim:
-		return "*fl.ShardedSim"
-	case *QuorumSim:
-		return "*fl.QuorumSim"
-	}
-	return "?"
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSim accepted an unknown topology kind")
+		}
+	}()
+	env := testEnv(t, 2, quickCfg(3))
+	env.Topo = Topology{Kind: "ring"}
+	NewSim(env, algo.NewFedAvgAggregator(env.Global, env.AlgoConfig()), nil)
 }

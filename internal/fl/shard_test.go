@@ -28,16 +28,12 @@ func runFederation(t *testing.T, shards, rounds int) []float32 {
 	for i := range sel {
 		sel[i] = i
 	}
-	if shards == 0 {
-		sim := NewSim(env, agg, trainers)
-		for r := 0; r < rounds; r++ {
-			sim.Round(r, sel)
-		}
-	} else {
-		sim := NewShardedSim(env, agg, trainers, shards)
-		for r := 0; r < rounds; r++ {
-			sim.Round(r, sel)
-		}
+	if shards > 0 {
+		env.Topo = Topology{Kind: TopoSharded, Shards: shards}
+	}
+	sim := NewSim(env, agg, trainers)
+	for r := 0; r < rounds; r++ {
+		sim.Round(r, sel)
 	}
 	return env.Global.State(models.ScopeAll)
 }

@@ -16,7 +16,6 @@ package flnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -149,10 +148,12 @@ type ServerConfig struct {
 	// present its hello frame. Zero waits forever.
 	HelloTimeout time.Duration
 	// StragglerTimeout bounds how long the server waits for a selected
-	// client's round upload. A client that misses the deadline is marked
-	// dead and its contribution dropped — the round aggregates from the
-	// clients that reported instead of failing the federation. Zero
-	// waits forever.
+	// client's round upload. In synchronous rounds a client that misses
+	// the deadline is marked dead and its contribution dropped — the
+	// round aggregates from the clients that reported instead of failing
+	// the federation; in async quorum rounds the deadline closes the
+	// round. It also bounds the wait for uploads still owed after the
+	// last round. Zero waits forever.
 	StragglerTimeout time.Duration
 	// WriteTimeout bounds each broadcast write to a client. Zero waits
 	// forever.
@@ -213,6 +214,9 @@ type Server struct {
 	// one they were computed for (async quorum mode only), exposed as
 	// "flnet.late_uploads".
 	late telemetry.Counter
+	// pending counts uploads drained after the last round — owed when it
+	// closed, so never folded — exposed as "flnet.pending_uploads".
+	pending telemetry.Counter
 }
 
 // Drops reports total dropped contributions across all clients and
@@ -227,6 +231,11 @@ func (s *Server) Errors() int64 { return s.errs.Value() }
 // later round (async quorum mode) — the same counter the registry
 // exposes as "flnet.late_uploads".
 func (s *Server) LateUploads() int64 { return s.late.Value() }
+
+// Pending reports how many uploads arrived after the federation's last
+// round closed (async quorum stragglers drained before MsgDone) — the
+// TCP twin of fl.Sim.Pending, exposed as "flnet.pending_uploads".
+func (s *Server) Pending() int64 { return s.pending.Value() }
 
 // NewServer starts listening (so clients can connect before Run).
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -245,6 +254,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Tel.Reg.Attach("flnet.drops", &s.drops)
 		cfg.Tel.Reg.Attach("flnet.errors", &s.errs)
 		cfg.Tel.Reg.Attach("flnet.late_uploads", &s.late)
+		cfg.Tel.Reg.Attach("flnet.pending_uploads", &s.pending)
 	}
 	return s, nil
 }
@@ -272,6 +282,7 @@ type clientConn struct {
 	alive     bool
 	drops     int
 	errs      int
+	owed      int // broadcasts sent without an upload back yet
 }
 
 // markDead closes the connection and excludes the client from future
@@ -284,12 +295,12 @@ func (c *clientConn) markDead() {
 }
 
 // Run accepts registrations, executes the round loop (synchronous, or
-// buffered/async when cfg.Quorum is set) and broadcasts the final
-// model. A malformed hello still fails fast — the federation has not
-// started — but once rounds begin, client failures and stragglers are
-// tolerated: their contributions are dropped (see ClientStats) and
-// each round aggregates whatever arrived. Run errors only when every
-// client is dead.
+// buffered/async when cfg.Quorum is set), drains the uploads still owed
+// and broadcasts the final model. A malformed hello still fails fast —
+// the federation has not started — but once rounds begin, client
+// failures and stragglers are tolerated: their contributions are
+// dropped (see ClientStats) and each round aggregates whatever arrived.
+// Run errors only when every client is dead.
 func (s *Server) Run(agg Aggregator) error {
 	defer s.ln.Close()
 	if err := s.acceptClients(); err != nil {
@@ -301,13 +312,11 @@ func (s *Server) Run(agg Aggregator) error {
 		}
 	}()
 	algo.Wire(s.cfg.Tel, agg)
-	if s.cfg.Quorum > 0 {
-		if err := s.runAsync(agg); err != nil {
-			return err
-		}
-	} else if err := s.runSync(agg); err != nil {
+	arrivals := s.startReaders()
+	if err := s.runRounds(agg, arrivals); err != nil {
 		return err
 	}
+	s.drain(arrivals)
 	return s.sendFinal(agg)
 }
 
@@ -346,52 +355,77 @@ func (s *Server) acceptClients() error {
 	return nil
 }
 
-// runSync is the synchronous round loop: every round waits for all
-// selected uploads (or the straggler deadline) before aggregating.
+// arrival is one frame (or terminal read error) from a persistent
+// per-client reader goroutine.
+type arrival struct {
+	ci    int // index into s.clients
+	frame Frame
+	err   error
+}
+
+// startReaders starts one persistent reader per client connection. They
+// outlive rounds: a straggler's upload must be readable after its round
+// closed. Capacity absorbs a burst of one pending upload plus the
+// terminal error per client; a full channel simply backpressures that
+// client's reader.
+func (s *Server) startReaders() <-chan arrival {
+	arrivals := make(chan arrival, 4*len(s.clients)+8)
+	for ci, c := range s.clients {
+		go func(ci int, c *clientConn) {
+			for {
+				f, err := ReadFrame(c.conn)
+				arrivals <- arrival{ci: ci, frame: f, err: err}
+				if err != nil {
+					return
+				}
+			}
+		}(ci, c)
+	}
+	return arrivals
+}
+
+// runRounds is the round loop. Each round broadcasts to the selected
+// live clients and folds every upload the moment its frame arrives (the
+// aggregator's cursor restores the canonical fold order, and the frame
+// recycles at once), until the close rule ends the round:
 //
-// With a streaming aggregator (algo.StreamingAggregator — every
-// aggregator this repo ships) each upload folds the moment its frame is
-// read: the receive loop calls Collect in arrival order and releases
-// the frame immediately, so round memory is the aggregator's staging
-// bound, not one held frame per selected client. The fold itself is
-// order-independent (the cursor/staging machinery replays arrivals in
-// selection order), and journal events are still emitted from the
-// sequential pass below in selection order — the journal bytes are
-// identical to the buffered path's.
-func (s *Server) runSync(agg Aggregator) error {
-	tel := s.cfg.Tel
+//   - synchronous (Quorum zero): every awaited upload has resolved. A
+//     client still owing its upload at the StragglerTimeout deadline is
+//     a straggler: marked dead, counted as a drop and journaled
+//     straggler_timeout.
+//   - buffered/async (Quorum K, FedBuff-style): K on-time uploads have
+//     arrived, or the deadline passed. The tail of a round no longer
+//     waits for its slowest client: a straggler's work is not discarded
+//     but folds into whatever round is in progress when it lands (a
+//     "late upload", counted in "flnet.late_uploads"). Stragglers are
+//     not drops.
+//
+// The shared algo.Round journals every round in canonical order, so
+// both modes emit their events in selection order whatever the
+// arrival order.
+func (s *Server) runRounds(agg Aggregator, arrivals <-chan arrival) error {
 	rng := newRng(s.cfg.Seed)
-	streamAgg, _ := agg.(algo.StreamingAggregator)
-	// Per-position outcome of a round, for journal emission in selection
-	// order after the concurrent collect.
-	const (
-		outcomeDrop      = uint8(iota) // dead, I/O error or bad frame
-		outcomeStraggler               // missed the straggler deadline
-		outcomeUpload                  // contribution aggregated
-	)
+	r := algo.NewRound(agg, s.cfg.Tel)
+	// posOf maps a client index to the selection position still owed an
+	// upload this round, or -1.
+	posOf := make([]int, len(s.clients))
+	for i := range posOf {
+		posOf[i] = -1
+	}
 	for round := 0; round < s.cfg.Rounds; round++ {
 		payload := agg.Broadcast(round)
 		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
-		if streamAgg != nil {
-			ids := make([]uint32, len(selected))
-			for i, ci := range selected {
-				ids[i] = s.clients[ci].id
-			}
-			streamAgg.BeginRound(round, ids)
+		sel := make([]algo.Upload, len(selected))
+		for pos, ci := range selected {
+			sel[pos] = algo.Upload{Client: s.clients[ci].id, TrainSize: s.clients[ci].trainSize}
 		}
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
-		roundStart := time.Now()
-		// Broadcast to the sampled clients that are still alive.
-		awaiting := make([]bool, len(selected))
-		outcomes := make([]uint8, len(selected))
+		r.Begin(round, sel, len(payload))
+		awaited := 0
 		for pos, ci := range selected {
 			c := s.clients[ci]
 			if !c.alive {
-				c.drops++
-				s.drops.Inc()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
+				s.drop(c)
+				r.Drop(pos)
 				continue
 			}
 			if s.cfg.WriteTimeout > 0 {
@@ -399,115 +433,90 @@ func (s *Server) runSync(agg Aggregator) error {
 			}
 			f := Frame{Type: MsgRoundStart, Client: c.id, Round: uint32(round), Payload: payload}
 			if err := WriteFrame(c.conn, f); err != nil {
-				c.errs++
-				c.drops++
-				s.errs.Inc()
-				s.drops.Inc()
-				c.markDead()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
+				s.fail(c)
+				s.drop(c)
+				r.Drop(pos)
 				continue
 			}
 			s.DownBytes += int64(frameHeaderLen + len(payload))
 			s.DownPayloadBytes += int64(len(payload))
-			awaiting[pos] = true
+			c.owed++
+			posOf[ci] = pos
+			awaited++
 		}
-		// Collect uploads concurrently, aggregate sequentially in
-		// selection order for determinism.
-		type result struct {
-			idx   int
-			frame Frame
-			err   error
+
+		want := awaited
+		if s.cfg.Quorum > 0 && s.cfg.Quorum < want {
+			want = s.cfg.Quorum
 		}
-		results := make(chan result, len(selected))
-		inflight := 0
+		timer, deadline := s.stragglerTimer()
+		onTime := 0
+	recv:
+		for onTime < want {
+			var a arrival
+			select {
+			case a = <-arrivals:
+			case <-deadline:
+				break recv
+			}
+			c := s.clients[a.ci]
+			pos := posOf[a.ci]
+			switch {
+			case !c.alive:
+				// Terminal error or leftover of a connection we closed.
+			case a.err == nil && a.frame.Type == MsgUpdate && int(a.frame.Round) == round && pos >= 0:
+				posOf[a.ci] = -1
+				c.owed--
+				awaited--
+				onTime++
+				s.UpBytes += int64(frameHeaderLen + len(a.frame.Payload))
+				s.UpPayloadBytes += int64(len(a.frame.Payload))
+				r.Collect(pos, a.frame.Payload, r.Elapsed())
+			case a.err == nil && a.frame.Type == MsgUpdate && int(a.frame.Round) < round && c.owed > 0:
+				// A straggler's upload from an earlier round: fold it
+				// into the round in progress instead of discarding the
+				// client's work. It bypasses the fold cursor — the
+				// straggler may ALSO be selected this round and still
+				// owe a fresh upload for its own slot.
+				c.owed--
+				s.late.Inc()
+				s.UpBytes += int64(frameHeaderLen + len(a.frame.Payload))
+				s.UpPayloadBytes += int64(len(a.frame.Payload))
+				r.Late(algo.Upload{Client: c.id, TrainSize: c.trainSize, Payload: a.frame.Payload})
+			default:
+				// I/O failure, malformed or future-round frame, a
+				// same-round duplicate or an upload nobody asked for:
+				// the connection is unusable, and an owed upload is lost.
+				s.fail(c)
+				if pos >= 0 {
+					posOf[a.ci] = -1
+					awaited--
+					s.drop(c)
+					r.Drop(pos)
+					want = min(want, awaited+onTime)
+				}
+			}
+			a.frame.Release()
+		}
+		if timer != nil {
+			timer.Stop()
+		}
 		for pos, ci := range selected {
-			if !awaiting[pos] {
+			if posOf[ci] != pos {
 				continue
 			}
-			inflight++
-			c := s.clients[ci]
-			if s.cfg.StragglerTimeout > 0 {
-				c.conn.SetReadDeadline(time.Now().Add(s.cfg.StragglerTimeout))
-			}
-			go func(pos int, c *clientConn) {
-				f, err := ReadFrame(c.conn)
-				results <- result{idx: pos, frame: f, err: err}
-			}(pos, c)
-		}
-		frames := make([]*Frame, len(selected))
-		recvNS := make([]int64, len(selected))
-		upLens := make([]int64, len(selected))
-		for ; inflight > 0; inflight-- {
-			r := <-results
-			c := s.clients[selected[r.idx]]
-			switch {
-			case r.err != nil:
-				var ne net.Error
-				if errors.As(r.err, &ne) && ne.Timeout() {
-					outcomes[r.idx] = outcomeStraggler
-				} else {
-					c.errs++ // real I/O failure, not just a straggler
-					s.errs.Inc()
-				}
-				c.drops++
-				s.drops.Inc()
+			posOf[ci] = -1
+			if s.cfg.Quorum == 0 {
+				c := s.clients[ci]
 				c.markDead()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-			case r.frame.Type != MsgUpdate || int(r.frame.Round) != round:
-				c.errs++
-				c.drops++
-				s.errs.Inc()
-				s.drops.Inc()
-				c.markDead()
-				r.frame.Release()
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-			default:
-				recvNS[r.idx] = time.Since(roundStart).Nanoseconds()
-				upLens[r.idx] = int64(len(r.frame.Payload))
-				outcomes[r.idx] = outcomeUpload
-				if streamAgg != nil {
-					// Fold on arrival: the payload is decoded into the
-					// aggregator's own pooled buffers, so the frame
-					// recycles here instead of living until the
-					// sequential pass.
-					streamAgg.Collect(round, c.id, c.trainSize, r.frame.Payload)
-					r.frame.Release()
-				} else {
-					f := r.frame
-					frames[r.idx] = &f
-				}
-			}
+				s.drop(c)
+				r.Straggler(pos)
+			} // else deferred: its upload folds late into a later round
 		}
-		collected := 0
-		for pos, ci := range selected {
-			c := s.clients[ci]
-			switch outcomes[pos] {
-			case outcomeUpload:
-				c.conn.SetReadDeadline(time.Time{})
-				s.UpBytes += int64(frameHeaderLen) + upLens[pos]
-				s.UpPayloadBytes += upLens[pos]
-				tel.Emit(telemetry.ClientUpload(round, int(c.id), upLens[pos], recvNS[pos]))
-				if streamAgg == nil {
-					agg.Collect(round, c.id, c.trainSize, frames[pos].Payload)
-					frames[pos].Release()
-				}
-				collected++
-			case outcomeStraggler:
-				tel.Emit(telemetry.Straggler(round, int(c.id)))
-			default:
-				tel.Emit(telemetry.Drop(round, int(c.id)))
-			}
+		if s.cfg.Quorum > 0 && want > 0 && onTime >= want {
+			r.MetQuorum()
 		}
-		t0 := time.Now()
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
-		tel.Emit(telemetry.RoundEnd(round, s.UpPayloadBytes, s.DownPayloadBytes))
+		r.Finish(s.UpPayloadBytes, s.DownPayloadBytes)
 
 		anyAlive := false
 		for _, c := range s.clients {
@@ -523,6 +532,73 @@ func (s *Server) runSync(agg Aggregator) error {
 	return nil
 }
 
+// drain ends the federation cleanly: before MsgDone it waits, bounded
+// by StragglerTimeout, for every broadcast still owed an upload — the
+// stragglers of an async quorum round — so no client is cut off
+// mid-write. Drained uploads arrive too late for any round; they are
+// counted in Pending ("flnet.pending_uploads"), never folded and never
+// counted as drops. With no StragglerTimeout the wait is unbounded, as
+// for every other upload.
+func (s *Server) drain(arrivals <-chan arrival) {
+	owed := 0
+	for _, c := range s.clients {
+		if c.alive {
+			owed += c.owed
+		}
+	}
+	if owed == 0 {
+		return
+	}
+	timer, deadline := s.stragglerTimer()
+	if timer != nil {
+		defer timer.Stop()
+	}
+	for owed > 0 {
+		var a arrival
+		select {
+		case a = <-arrivals:
+		case <-deadline:
+			return
+		}
+		c := s.clients[a.ci]
+		switch {
+		case !c.alive:
+		case a.err == nil && a.frame.Type == MsgUpdate && c.owed > 0:
+			c.owed--
+			owed--
+			s.pending.Inc()
+		default:
+			s.fail(c)
+			owed -= c.owed
+			c.owed = 0
+		}
+		a.frame.Release()
+	}
+}
+
+// stragglerTimer starts the StragglerTimeout deadline; both are nil
+// (wait forever) when no timeout is configured.
+func (s *Server) stragglerTimer() (*time.Timer, <-chan time.Time) {
+	if s.cfg.StragglerTimeout <= 0 {
+		return nil, nil
+	}
+	t := time.NewTimer(s.cfg.StragglerTimeout)
+	return t, t.C
+}
+
+// fail records a protocol or I/O failure on c and closes its connection.
+func (s *Server) fail(c *clientConn) {
+	c.errs++
+	s.errs.Inc()
+	c.markDead()
+}
+
+// drop records that c's selected contribution was not aggregated.
+func (s *Server) drop(c *clientConn) {
+	c.drops++
+	s.drops.Inc()
+}
+
 // sendFinal broadcasts the aggregator's final model to every surviving
 // client.
 func (s *Server) sendFinal(agg Aggregator) error {
@@ -536,8 +612,7 @@ func (s *Server) sendFinal(agg Aggregator) error {
 		}
 		f := Frame{Type: MsgDone, Client: c.id, Payload: final}
 		if err := WriteFrame(c.conn, f); err != nil {
-			c.errs++
-			c.markDead()
+			s.fail(c)
 			continue
 		}
 		s.DownBytes += int64(frameHeaderLen + len(final))
@@ -604,7 +679,7 @@ func RunClientOpts(addr string, clientID uint32, trainSize int, tr Trainer, opts
 			if err := WriteFrame(conn, Frame{Type: MsgUpdate, Client: clientID, Round: f.Round, Payload: up}); err != nil {
 				return err
 			}
-			tel.Emit(telemetry.ClientUpload(round, int(clientID), int64(len(up)), time.Since(t0).Nanoseconds()))
+			tel.Emit(telemetry.ClientSent(round, int(clientID), int64(len(up)), time.Since(t0).Nanoseconds()))
 		case MsgDone:
 			tr.Finish(f.Payload)
 			tel.Emit(telemetry.ClientApply(int(f.Round), int(clientID), int64(len(f.Payload))))

@@ -314,3 +314,23 @@ func TestServerRejectsBadHello(t *testing.T) {
 	}
 	conn.Close()
 }
+
+// TestSendFinalCountsErrors: a final-model write that fails is a
+// connection error like any other — Errors() must equal the sum of the
+// per-client error counts.
+func TestSendFinalCountsErrors(t *testing.T) {
+	server, client := net.Pipe()
+	client.Close()
+	s := &Server{clients: []*clientConn{{id: 4, conn: server, alive: true}}}
+	global := models.Build(models.Spec{Arch: "mlp", Classes: 2, InC: 1, H: 2, W: 2}, 1)
+	if err := s.sendFinal(algo.NewFedAvgAggregator(global, algo.Config{NumClients: 1})); err != nil {
+		t.Fatal(err)
+	}
+	var perClient int64
+	for _, st := range s.ClientStats() {
+		perClient += int64(st.Errors)
+	}
+	if perClient != 1 || s.Errors() != perClient {
+		t.Fatalf("Errors() = %d, per-client errors sum to %d; want both 1", s.Errors(), perClient)
+	}
+}

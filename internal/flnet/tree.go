@@ -225,23 +225,18 @@ func (s *TreeServer) Run(agg Aggregator) error {
 			e.conn.Close()
 		}
 	}()
-	tel := s.cfg.Tel
-	algo.Wire(tel, agg)
-	streamAgg, _ := agg.(algo.StreamingAggregator)
+	algo.Wire(s.cfg.Tel, agg)
+	r := algo.NewRound(agg, s.cfg.Tel)
 	rng := newRng(s.cfg.Seed)
 	selBuf := make([]byte, 0, 4*s.cfg.PerRound)
 	for round := 0; round < s.cfg.Rounds; round++ {
 		payload := agg.Broadcast(round)
 		selected := samplePerm(rng, len(s.clients), s.cfg.PerRound)
-		if streamAgg != nil {
-			ids := make([]uint32, len(selected))
-			for i, ci := range selected {
-				ids[i] = s.clients[ci].id
-			}
-			streamAgg.BeginRound(round, ids)
+		sel := make([]algo.Upload, len(selected))
+		for pos, ci := range selected {
+			sel[pos] = algo.Upload{Client: s.clients[ci].id, TrainSize: s.clients[ci].trainSize}
 		}
-		tel.Emit(telemetry.RoundStart(round, len(selected), int64(len(payload))))
-		roundStart := time.Now()
+		r.Begin(round, sel, len(payload))
 
 		// Fan the broadcast out: one pooled round-start per live edge,
 		// carrying that shard's selection list and the model payload.
@@ -285,10 +280,9 @@ func (s *TreeServer) Run(agg Aggregator) error {
 		// shard cursor: shard k is processed (and its frame released) the
 		// moment shards 0..k have all resolved, so the root holds frames
 		// only for shards that arrive ahead of the cursor instead of one
-		// per shard per round. Cursor order IS shard-ID order, so journal
-		// events and the fold sequence are byte-identical to the buffered
-		// pass, and with a streaming aggregator the per-entry folds land
-		// in ascending client order — zero staging.
+		// per shard per round. Cursor order IS shard-ID order, so the
+		// per-entry folds land in ascending client order — zero staging —
+		// and each shard decodes in one parallel CollectBatch.
 		type result struct {
 			shard int
 			frame Frame
@@ -316,63 +310,26 @@ func (s *TreeServer) Run(agg Aggregator) error {
 				resolved[sh] = true // empty shard, dead edge or failed write
 			}
 		}
-		collected := 0
-		var entries []algo.Upload
 		processShard := func(sh int) {
 			lo, hi := spans[sh][0], spans[sh][1]
-			n := hi - lo
-			if n == 0 {
+			if hi == lo {
 				return
 			}
 			if frames[sh] == nil {
 				// The whole shard vanished: one shard_drop event carrying
 				// the count, attributed per shard in the registry — the
 				// root degrades instead of stalling.
-				if streamAgg != nil {
-					for p := lo; p < hi; p++ {
-						streamAgg.MarkAbsent(round, s.clients[selected[p]].id)
-					}
-				}
-				tel.Emit(telemetry.ShardDrop(round, sh, n))
-				s.drops.Add(int64(n))
-				s.shardDrops[sh].Add(int64(n))
+				r.ShardDrop(sh, lo, hi)
+				s.drops.Add(int64(hi - lo))
+				s.shardDrops[sh].Add(int64(hi - lo))
 				return
 			}
-			var err error
-			entries, err = algo.ShardEntries(entries[:0], frames[sh].Payload)
-			if err != nil {
-				s.errs.Inc()
-			}
-			// Walk the shard's selection against the (subsequence of)
-			// entries the edge pooled, emitting client events in
-			// selection order — the flat server's order.
-			kept := entries[:0]
-			ei := 0
-			for p := lo; p < hi; p++ {
-				c := s.clients[selected[p]]
-				if ei < len(entries) && entries[ei].Client == c.id {
-					u := entries[ei]
-					u.TrainSize = c.trainSize // hello table is authoritative
-					kept = append(kept, u)
-					s.meter.AddUp(len(u.Payload))
-					tel.Emit(telemetry.ClientUpload(round, int(c.id), int64(len(u.Payload)), time.Since(roundStart).Nanoseconds()))
-					ei++
-					continue
-				}
-				if streamAgg != nil {
-					streamAgg.MarkAbsent(round, c.id)
-				}
-				tel.Emit(telemetry.Drop(round, int(c.id)))
-				s.drops.Inc()
-				s.shardDrops[sh].Inc()
-			}
-			if ei != len(entries) {
-				s.errs.Inc() // edge pooled clients the root never selected
-			}
+			up, drops, faults := r.Shard(sh, lo, hi, frames[sh].Payload, nil)
+			s.meter.AddUp(int(up))
 			s.meter.AddRelayUp(len(frames[sh].Payload))
-			tel.Emit(telemetry.ShardPush(round, sh, len(kept), int64(len(frames[sh].Payload))))
-			algo.CollectAll(agg, round, kept)
-			collected += len(kept)
+			s.drops.Add(int64(drops))
+			s.shardDrops[sh].Add(int64(drops))
+			s.errs.Add(int64(faults))
 			frames[sh].Release()
 			frames[sh] = nil
 		}
@@ -406,10 +363,7 @@ func (s *TreeServer) Run(agg Aggregator) error {
 			resolved[r.shard] = true
 			processUpTo()
 		}
-		t0 := time.Now()
-		agg.FinishRound(round)
-		tel.Emit(telemetry.Aggregate(round, collected, time.Since(t0).Nanoseconds()))
-		tel.Emit(telemetry.RoundEnd(round, s.meter.Up(), s.meter.Down()))
+		r.Finish(s.meter.Up(), s.meter.Down())
 
 		anyAlive := false
 		for _, e := range s.edges {

@@ -99,7 +99,7 @@ func startTree(t *testing.T, spec models.Spec, cd []fl.ClientData, cfg algo.Conf
 }
 
 // TestTreeCrossTransportEquivalence: a seeded sharded federation run
-// in-process (fl.ShardedSim) and over a loopback TCP tree (TreeServer +
+// in-process (fl.Sim with the sharded topology) and over a loopback TCP tree (TreeServer +
 // Edges) must produce bitwise-identical global models, identical
 // client-facing and relay byte counts, and byte-identical zero-time
 // journals — the tree transport adds pooling, not semantics.
@@ -126,7 +126,8 @@ func TestTreeCrossTransportEquivalence(t *testing.T) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewFedAvgTrainer(c, cfg)
 	}
-	sim := fl.NewShardedSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers, shards)
+	env.Topo = fl.Topology{Kind: fl.TopoSharded, Shards: shards}
+	sim := fl.NewSim(env, algo.NewFedAvgAggregator(env.Global, cfg), trainers)
 	all := make([]int, clients)
 	for i := range all {
 		all[i] = i
@@ -354,12 +355,21 @@ func TestAsyncQuorumRounds(t *testing.T) {
 	if srv.Drops() != 0 {
 		t.Fatalf("async stragglers must not count as drops, got %d", srv.Drops())
 	}
+	// The last round's second slow client lands after its quorum closed:
+	// the server drains it before MsgDone instead of cutting it off.
+	if srv.Pending() < 1 {
+		t.Fatalf("pending uploads = %d, want >= 1", srv.Pending())
+	}
+	if snap.Counters["flnet.pending_uploads"] != srv.Pending() {
+		t.Fatalf("registry sees %d pending uploads, accessor %d",
+			snap.Counters["flnet.pending_uploads"], srv.Pending())
+	}
 }
 
 // TestTreeSSFLShardedEquivalence: the SSFL protocol — mask agreement,
 // one index-bearing sparse round, then values-only rounds — must be
 // transport-invariant on the sharded tree too: in-process
-// fl.ShardedSim and TreeServer+Edges produce bitwise-identical global
+// fl.Sim (sharded topology) and TreeServer+Edges produce bitwise-identical global
 // models and byte-identical zero-time journals, including the
 // mask_agreement event at the same position.
 func TestTreeSSFLShardedEquivalence(t *testing.T) {
@@ -392,7 +402,8 @@ func TestTreeSSFLShardedEquivalence(t *testing.T) {
 	for i, c := range env.Clients {
 		trainers[i] = algo.NewSSFLTrainer(c, algo.SSFLOptions{}, cfg)
 	}
-	sim := fl.NewShardedSim(env, algo.NewSSFLAggregator(env.Global, algo.SSFLOptions{}, cfg), trainers, shards)
+	env.Topo = fl.Topology{Kind: fl.TopoSharded, Shards: shards}
+	sim := fl.NewSim(env, algo.NewSSFLAggregator(env.Global, algo.SSFLOptions{}, cfg), trainers)
 	all := make([]int, clients)
 	for i := range all {
 		all[i] = i

@@ -237,7 +237,7 @@ func (a *Aggregator) Collect(round int, client uint32, trainSize int, payload []
 	}
 }
 
-// CollectLate implements algo.StreamingAggregator: a carried-over
+// CollectLate implements algo.Aggregator: a carried-over
 // straggler upload folds at its delivery position, outside the cursor.
 func (a *Aggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
 	defer a.RoundSpan(round, "agg.collect").End()

@@ -13,7 +13,7 @@ import (
 type FL struct {
 	Opts Options
 
-	drv fl.Driver
+	sim *fl.Sim
 	agg *Aggregator
 }
 
@@ -28,11 +28,11 @@ func (f *FL) Setup(env *fl.Env) {
 	for i, c := range env.Clients {
 		trainers[i] = NewTrainer(c, f.Opts, cfg)
 	}
-	f.drv = fl.NewDriver(env, f.agg, trainers)
+	f.sim = fl.NewSim(env, f.agg, trainers)
 }
 
 // Round implements fl.Algorithm.
-func (f *FL) Round(env *fl.Env, round int, selected []int) { f.drv.Round(round, selected) }
+func (f *FL) Round(env *fl.Env, round int, selected []int) { f.sim.Round(round, selected) }
 
 // EvalModel implements fl.Algorithm: a client deploys its cluster's
 // full-width model, not a single global one.

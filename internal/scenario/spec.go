@@ -53,8 +53,8 @@ const (
 // Transport kinds.
 const (
 	TransportSim     = "sim"     // in-process flat collection (fl.Sim)
-	TransportSharded = "sharded" // in-process collection tree (fl.ShardedSim)
-	TransportQuorum  = "quorum"  // in-process deterministic async quorum (fl.QuorumSim)
+	TransportSharded = "sharded" // in-process collection tree (fl.Sim, TopoSharded)
+	TransportQuorum  = "quorum"  // in-process deterministic async quorum (fl.Sim, TopoQuorum)
 	TransportTCP     = "tcp"     // loopback TCP federation (flnet.Server)
 )
 

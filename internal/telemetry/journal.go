@@ -79,6 +79,12 @@ func ClientUpload(round, client int, bytes, durNS int64) Event {
 	return Event{Ev: EvClientUpload, Round: round, Client: client, Bytes: bytes, Dur: durNS}
 }
 
+// ClientSent: a client sent its upload of the given size, durNS after
+// the round broadcast arrived (client-side twin of ClientUpload).
+func ClientSent(round, client int, bytes, durNS int64) Event {
+	return Event{Ev: EvClientUpload, Round: round, Client: client, Bytes: bytes, Dur: durNS}
+}
+
 // ClientApply: a client installed the final model (client-side event).
 func ClientApply(round, client int, bytes int64) Event {
 	return Event{Ev: EvClientApply, Round: round, Client: client, Bytes: bytes}

@@ -5,7 +5,12 @@
 #   ./scripts/verify.sh --hot    tier-1 plus the hot-path battery:
 #                                vet and the -race hammer over the
 #                                packages with hand-written kernels and
-#                                lock-free aggregation paths
+#                                lock-free aggregation paths, and the
+#                                perfbench module's suite (its wrapper
+#                                test is the check that a timed
+#                                aggregator keeps every transport on its
+#                                streaming path; tier-1 cannot see the
+#                                separate module)
 #   ./scripts/verify.sh --obs    tier-1 plus the observability battery:
 #                                the -race hammer over the telemetry
 #                                subsystem and the TCP transport that
@@ -22,7 +27,7 @@
 #                                25% on allocs/op and B/op, gated only
 #                                above the harness noise floors)
 #   ./scripts/verify.sh --matrix tier-1 plus the scenario-matrix gate:
-#                                run the committed 2x2x2 golden matrix
+#                                run the committed 2x2x4 golden matrix
 #                                (scripts/golden/matrix.json) end to end
 #                                and diff every per-cell zero-time
 #                                journal against scripts/golden/matrix/
@@ -34,6 +39,9 @@
 #                                (scripts/golden/hetero.json) diffed
 #                                byte-for-byte against
 #                                scripts/golden/hetero/
+#
+# Tiers combine: ./scripts/verify.sh --matrix --hetero runs tier-1 once,
+# then each named tier in order. An unknown tier is an error.
 #
 # Tier-1 must pass on every commit. The hot-path battery is mandatory
 # for changes touching internal/tensor (SIMD kernels, packed GEMM,
@@ -55,83 +63,96 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: build =="
-go build ./...
-echo "== tier-1: tests =="
-go test ./...
+for tier in "$@"; do
+    case "$tier" in
+        --hot | --bench | --matrix | --hetero | --obs) ;;
+        *)
+            echo "verify: unknown tier $tier (want --hot, --bench, --matrix, --hetero or --obs)" >&2
+            exit 2
+            ;;
+    esac
+done
 
-if [[ "${1:-}" == "--hot" ]]; then
-    echo "== hot path: vet =="
-    go vet ./...
-    echo "== hot path: race hammer =="
-    go test -race ./internal/tensor ./internal/nn ./internal/algo ./internal/flnet
-    echo "== hot path: shard/quorum/sparse hammer =="
-    go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskStatic|MaskPat' \
-        ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
-    echo "== hot path: streaming-fold hammer =="
-    go test -race -count=1 -run 'Stream|Staging|Permutation' \
-        ./internal/algo ./internal/fl ./internal/flnet
-fi
+tmpdirs=()
+trap 'rm -rf "${tmpdirs[@]}"' EXIT
 
-if [[ "${1:-}" == "--bench" ]]; then
-    baseline=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
-    if [[ -z "$baseline" ]]; then
-        echo "verify: no BENCH_N.json baseline found" >&2
-        exit 1
-    fi
-    echo "== bench gate: micro vs $baseline =="
-    go run ./cmd/spatl-bench -micro -baseline "$baseline" -gate \
-        -tolerance "${BENCH_TOLERANCE:-0.15}" \
-        -alloc-tolerance "${BENCH_ALLOC_TOLERANCE:-0.25}"
-fi
-
-if [[ "${1:-}" == "--matrix" ]]; then
-    echo "== matrix gate: golden 2x2x2 scenario matrix =="
+# golden_diff runs a scenario matrix and diffs every per-cell journal
+# against the committed goldens, byte for byte.
+golden_diff() {
+    local label=$1 matrix=$2 goldens=$3 out ngold nout
     out=$(mktemp -d)
-    trap 'rm -rf "$out"' EXIT
-    go run ./cmd/spatl-bench -matrix scripts/golden/matrix.json -out "$out" >/dev/null
-    for g in scripts/golden/matrix/*.jsonl; do
+    tmpdirs+=("$out")
+    go run ./cmd/spatl-bench -matrix "$matrix" -out "$out" >/dev/null
+    for g in "$goldens"/*.jsonl; do
         if ! diff -u "$g" "$out/$(basename "$g")"; then
             echo "verify: journal drift vs golden $(basename "$g")" >&2
             exit 1
         fi
     done
-    ngold=$(ls scripts/golden/matrix/*.jsonl | wc -l)
+    ngold=$(ls "$goldens"/*.jsonl | wc -l)
     nout=$(ls "$out"/*.jsonl | wc -l)
     if [[ "$ngold" != "$nout" ]]; then
         echo "verify: cell count drift: ran $nout cells, goldens have $ngold" >&2
         exit 1
     fi
-    echo "== matrix gate: $ngold cells byte-identical =="
-fi
+    echo "== $label: $ngold cells byte-identical =="
+}
 
-if [[ "${1:-}" == "--hetero" ]]; then
-    echo "== hetero: vet =="
-    go vet ./internal/hetero
-    echo "== hetero: race hammer =="
-    go test -race -count=1 ./internal/hetero
-    echo "== hetero: equivalence suites =="
-    go test -count=1 -run 'Degenerate|DeterministicAcross|HeteroCell' \
-        ./internal/hetero ./internal/scenario
-    go test -count=1 -run 'TestCrossTransportEquivalence/hetero' ./internal/flnet
-    echo "== hetero: golden 2-cluster 3-width cell =="
-    out=$(mktemp -d)
-    trap 'rm -rf "$out"' EXIT
-    go run ./cmd/spatl-bench -matrix scripts/golden/hetero.json -out "$out" >/dev/null
-    for g in scripts/golden/hetero/*.jsonl; do
-        if ! diff -u "$g" "$out/$(basename "$g")"; then
-            echo "verify: journal drift vs golden $(basename "$g")" >&2
+echo "== tier-1: build =="
+go build ./...
+echo "== tier-1: tests =="
+go test ./...
+
+for tier in "$@"; do
+    case "$tier" in
+    --hot)
+        echo "== hot path: vet =="
+        go vet ./...
+        echo "== hot path: race hammer =="
+        go test -race ./internal/tensor ./internal/nn ./internal/algo ./internal/flnet
+        echo "== hot path: shard/quorum/sparse hammer =="
+        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskStatic|MaskPat' \
+            ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
+        echo "== hot path: streaming-fold hammer =="
+        go test -race -count=1 -run 'Stream|Staging|Permutation|RoundCanonical' \
+            ./internal/algo ./internal/fl ./internal/flnet
+        echo "== hot path: perfbench suite =="
+        (cd perfbench && go test ./...)
+        ;;
+    --bench)
+        baseline=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
+        if [[ -z "$baseline" ]]; then
+            echo "verify: no BENCH_N.json baseline found" >&2
             exit 1
         fi
-    done
-    echo "== hetero: $(ls scripts/golden/hetero/*.jsonl | wc -l) cells byte-identical =="
-fi
-
-if [[ "${1:-}" == "--obs" ]]; then
-    echo "== observability: race hammer =="
-    go test -race ./internal/telemetry ./internal/flnet
-    echo "== observability: overhead budget =="
-    go test -run TestTelemetryOverheadBudget -v ./internal/fl
-fi
+        echo "== bench gate: micro vs $baseline =="
+        go run ./cmd/spatl-bench -micro -baseline "$baseline" -gate \
+            -tolerance "${BENCH_TOLERANCE:-0.15}" \
+            -alloc-tolerance "${BENCH_ALLOC_TOLERANCE:-0.25}"
+        ;;
+    --matrix)
+        echo "== matrix gate: golden 2x2x4 scenario matrix =="
+        golden_diff "matrix gate" scripts/golden/matrix.json scripts/golden/matrix
+        ;;
+    --hetero)
+        echo "== hetero: vet =="
+        go vet ./internal/hetero
+        echo "== hetero: race hammer =="
+        go test -race -count=1 ./internal/hetero
+        echo "== hetero: equivalence suites =="
+        go test -count=1 -run 'Degenerate|DeterministicAcross|HeteroCell' \
+            ./internal/hetero ./internal/scenario
+        go test -count=1 -run 'TestCrossTransportEquivalence/hetero' ./internal/flnet
+        echo "== hetero: golden 2-cluster 3-width cell =="
+        golden_diff hetero scripts/golden/hetero.json scripts/golden/hetero
+        ;;
+    --obs)
+        echo "== observability: race hammer =="
+        go test -race ./internal/telemetry ./internal/flnet
+        echo "== observability: overhead budget =="
+        go test -run TestTelemetryOverheadBudget -v ./internal/fl
+        ;;
+    esac
+done
 
 echo "verify: OK"
