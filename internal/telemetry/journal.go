@@ -3,7 +3,10 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -164,7 +167,7 @@ func ClusterAssign(round, cluster, size int) Event {
 type Journal struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
-	enc    *json.Encoder
+	line   []byte // encode scratch
 	zero   bool
 	events Counter
 	err    error
@@ -174,7 +177,7 @@ type Journal struct {
 // any underlying file after Flush (or via Close).
 func NewJournal(w io.Writer) *Journal {
 	bw := bufio.NewWriterSize(w, 32<<10)
-	return &Journal{bw: bw, enc: json.NewEncoder(bw)}
+	return &Journal{bw: bw}
 }
 
 // SetZeroTime toggles zero-time mode: timestamps and durations are
@@ -214,7 +217,12 @@ func (j *Journal) Emit(e Event) {
 	} else if e.TS == 0 {
 		e.TS = time.Now().UnixNano()
 	}
-	if err := j.enc.Encode(&e); err != nil {
+	line, err := appendEvent(j.line[:0], &e)
+	if err == nil {
+		j.line = line
+		_, err = j.bw.Write(line)
+	}
+	if err != nil {
 		j.err = err
 		return
 	}
@@ -254,4 +262,59 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
+}
+
+// appendEvent appends e as one JSON line, byte for byte what
+// encoding/json's Encoder writes for an Event, without its reflection:
+// the journal emit is the costliest telemetry primitive, and the <1%
+// overhead budget prices every telemetry operation at its cost.
+func appendEvent(b []byte, e *Event) ([]byte, error) {
+	b = append(b, `{"ts":`...)
+	b = strconv.AppendInt(b, e.TS, 10)
+	b = append(b, `,"ev":`...)
+	b = appendJSONString(b, e.Ev)
+	b = append(b, `,"round":`...)
+	b = strconv.AppendInt(b, int64(e.Round), 10)
+	b = append(b, `,"client":`...)
+	b = strconv.AppendInt(b, int64(e.Client), 10)
+	b = append(b, `,"bytes":`...)
+	b = strconv.AppendInt(b, e.Bytes, 10)
+	b = append(b, `,"up":`...)
+	b = strconv.AppendInt(b, e.Up, 10)
+	b = append(b, `,"down":`...)
+	b = strconv.AppendInt(b, e.Down, 10)
+	b = append(b, `,"dur_ns":`...)
+	b = strconv.AppendInt(b, e.Dur, 10)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(e.N), 10)
+	b = append(b, `,"acc":`...)
+	if math.IsNaN(e.Acc) || math.IsInf(e.Acc, 0) {
+		return b, fmt.Errorf("telemetry: journal cannot encode acc %v", e.Acc)
+	}
+	// encoding/json's float64 format: shortest representation, 'e'
+	// notation outside [1e-6, 1e21), and a one-digit negative exponent.
+	format := byte('f')
+	if abs := math.Abs(e.Acc); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, e.Acc, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONString appends s quoted. Event names are plain ASCII; any
+// other string takes encoding/json's escaping.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

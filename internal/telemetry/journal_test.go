@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -162,5 +164,46 @@ func TestJournalStickyError(t *testing.T) {
 	}
 	if j.Err() == nil {
 		t.Fatal("expected a sticky write error")
+	}
+}
+
+// TestAppendEventMatchesEncodingJSON: the journal's hand-written encoder
+// is byte-identical to encoding/json's Encoder for every event shape,
+// extreme integers, float accuracies in and out of 'e' notation, and
+// names that need escaping.
+func TestAppendEventMatchesEncodingJSON(t *testing.T) {
+	events := allEvents()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		e := Event{
+			TS: rng.Int63() - rng.Int63(), Ev: EvClientUpload, Round: rng.Int(), Client: -rng.Intn(3),
+			Bytes: rng.Int63(), Up: math.MaxInt64, Down: math.MinInt64, Dur: rng.Int63n(1e9), N: -rng.Int(),
+			Acc: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)),
+		}
+		events = append(events, e)
+	}
+	for _, acc := range []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e21, 9.99e20, 1e-7, -1e-300, math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1 + 0.2} {
+		events = append(events, Eval(1, acc))
+	}
+	for _, name := range []string{"", "quo\"te", "back\\slash", "<html>&", "tab\t", "é", "\u2028", "bad\xff"} {
+		events = append(events, Event{Ev: name})
+	}
+	for _, e := range events {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&e); err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendEvent(nil, &e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("event %+v:\n got %s\nwant %s", e, got, want.Bytes())
+		}
+	}
+	for _, acc := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := appendEvent(nil, &Event{Acc: acc}); err == nil {
+			t.Fatalf("acc %v encoded without error", acc)
+		}
 	}
 }
