@@ -194,6 +194,7 @@ func (r *Round) Shard(sh, lo, hi int, pooled []byte, durNS []int64) (up int64, d
 	CollectAll(r.agg, r.round, kept)
 	r.folded += len(kept)
 	r.onTime += len(kept)
+	clear(kept) // the payloads alias pooled, which the caller recycles
 	r.entries = kept[:0]
 	return up, drops, faults
 }

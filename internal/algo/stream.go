@@ -28,8 +28,8 @@ import (
 // sequence of float64 operations regardless of chunking — the property
 // the StreamFoldRef* serial references pin down.
 
-// StreamingAggregator is the name the streaming contract had while it
-// was optional. Every aggregator streams, so it is Aggregator.
+// StreamingAggregator is Aggregator: every aggregator streams. The name
+// stays for code written against it (the perfbench module).
 type StreamingAggregator = Aggregator
 
 // stagedEntry is one parked out-of-order upload.
@@ -126,9 +126,9 @@ func (s *stream[U]) find(client uint32) (int, bool) {
 
 // ingest routes one decoded upload: fold at the cursor, park early
 // arrivals, fold unknown/duplicate contributors at their arrival
-// position (the buffered path's append semantics for extras). Before
-// any BeginRound every client is unknown, so uploads fold in arrival
-// order.
+// position (the buffered path's append semantics for extras). While no
+// selection is announced every client is unknown, so uploads fold in
+// arrival order.
 func (s *stream[U]) ingest(client uint32, u U) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
