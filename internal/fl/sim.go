@@ -102,6 +102,10 @@ func (s *Sim) Round(round int, selected []int) {
 		durs[pos] = time.Since(t0).Nanoseconds()
 	})
 
+	var frac float64
+	if env.Topo.Kind == TopoQuorum {
+		frac = env.Topo.OnTimeFrac
+	}
 	if env.Topo.Kind == TopoSharded {
 		forShards(selected, env.Cfg.NumClients, env.Topo.Shards, func(sh, lo, hi int) {
 			env.Meter.AddRelayDown(len(payload)) // one broadcast per participating edge
@@ -115,28 +119,22 @@ func (s *Sim) Round(round int, selected []int) {
 			env.Meter.AddRelayUp(len(s.sb.Payload()))
 			r.Shard(sh, lo, hi, s.sb.Payload(), durs) // crashed clients drop here
 		})
-		r.Finish(env.Meter.Up(), env.Meter.Down())
-		return
-	}
-
-	var frac float64
-	if env.Topo.Kind == TopoQuorum {
-		frac = env.Topo.OnTimeFrac
-	}
-	for pos, ci := range selected {
-		switch {
-		case ups[pos] == nil:
-			r.Drop(pos)
-		case !onTime(env.Cfg.Seed, round, ci, frac):
-			// Missed the quorum close: the payload slice is owned by the
-			// trainer and reused next round, so defer a copy.
-			r.Defer(pos)
-			lu := sel[pos]
-			lu.Payload = append([]byte(nil), ups[pos]...)
-			s.pending = append(s.pending, lu)
-		default:
-			env.Meter.AddUp(len(ups[pos]))
-			r.Collect(pos, ups[pos], durs[pos])
+	} else {
+		for pos, ci := range selected {
+			switch {
+			case ups[pos] == nil:
+				r.Drop(pos)
+			case !onTime(env.Cfg.Seed, round, ci, frac):
+				// Missed the quorum close: the payload slice is owned by
+				// the trainer and reused next round, so defer a copy.
+				r.Defer(pos)
+				lu := sel[pos]
+				lu.Payload = append([]byte(nil), ups[pos]...)
+				s.pending = append(s.pending, lu)
+			default:
+				env.Meter.AddUp(len(ups[pos]))
+				r.Collect(pos, ups[pos], durs[pos])
+			}
 		}
 	}
 	if frac > 0 && frac < 1 {
