@@ -394,11 +394,11 @@ func (s *Server) startReaders() <-chan arrival {
 //     a straggler: marked dead, counted as a drop and journaled
 //     straggler_timeout.
 //   - buffered/async (Quorum K, FedBuff-style): K on-time uploads have
-//     arrived, or the deadline passed. The tail of a round no longer
-//     waits for its slowest client: a straggler's work is not discarded
-//     but folds into whatever round is in progress when it lands (a
-//     "late upload", counted in "flnet.late_uploads"). Stragglers are
-//     not drops.
+//     arrived, or the deadline passed. The round does not wait for its
+//     slowest client: a straggler's work is not discarded but folds
+//     into whatever round is in progress when it lands (a "late
+//     upload", counted in "flnet.late_uploads"). Stragglers are not
+//     drops.
 //
 // The shared algo.Round journals every round in canonical order, so
 // both modes emit their events in selection order whatever the
