@@ -1,6 +1,6 @@
 // Package algo is the transport-agnostic federated-learning algorithm
-// layer. Every algorithm — FedAvg, FedProx, FedNova, SCAFFOLD and SPATL
-// — is implemented exactly once here, as a byte-payload Aggregator
+// layer. Every algorithm — FedAvg, FedProx, FedNova, SCAFFOLD, SPATL and
+// SSFL — is implemented exactly once here, as a byte-payload Aggregator
 // (server side) and Trainer (client side) pair. Transports only move
 // bytes between the two:
 //
@@ -30,8 +30,10 @@ import (
 // Aggregator is the server side of one algorithm. Implementations own
 // the payload encoding; transports only move bytes. Every aggregator
 // streams: uploads fold on arrival behind a cursor over the round's
-// selection (see stream.go), and transports drive the calls through
-// the shared round state machine (Round).
+// selection, and transports drive the calls through the shared round
+// state machine (Round). The collect half — everything but Broadcast
+// and Final — is the stream engine's (stream.go); an aggregator
+// supplies only its decode, fold, release and finalize Hooks.
 type Aggregator interface {
 	// Broadcast produces the payload sent to every sampled client at the
 	// start of round. The returned slice is owned by the aggregator and
@@ -45,9 +47,13 @@ type Aggregator interface {
 	// valid during the call. Uploads may arrive in any order: the
 	// fold-on-arrival cursor restores the canonical ascending-client-ID
 	// fold order, so the result is bitwise identical to a sequential
-	// selection-order pass. Malformed uploads are counted (see the
-	// aggregators' Dropped methods), never fatal.
+	// selection-order pass. A malformed upload counts as one drop (each
+	// aggregator's Dropped), never fatal.
 	Collect(round int, client uint32, trainSize int, payload []byte)
+	// CollectBatch is Collect over a whole batch (one pooled shard): the
+	// decodes run concurrently on the worker pool, then the uploads
+	// ingest in batch order — the same folds as sequential Collect calls.
+	CollectBatch(round int, ups []Upload)
 	// CollectLate folds a straggler's upload carried over from an
 	// earlier round, bypassing the cursor entirely: late uploads fold at
 	// their delivery position (FedBuff semantics), even when the same

@@ -6,7 +6,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
@@ -17,18 +16,15 @@ import (
 // buffers; FinishRound finalizes with ÷Σw. FedProx shares it — the
 // proximal term is purely client-side.
 type FedAvgAggregator struct {
-	Telemetered
 	stream[fedavgUpload]
 	Global *models.SplitModel
 
-	cfg      Config
-	acc      []float64 // unscaled Σ wᵢ·xᵢ, folded on arrival
-	sumW     float64
-	folded   int
-	curRound int
-	bcast    []byte    // reusable broadcast body
-	avgBuf   []float32 // reusable aggregate, recycled across rounds
-	dropped  telemetry.Counter
+	cfg    Config
+	acc    []float64 // unscaled Σ wᵢ·xᵢ, folded on arrival
+	sumW   float64
+	folded int
+	bcast  []byte    // reusable broadcast body
+	avgBuf []float32 // reusable aggregate, recycled across rounds
 }
 
 // fedavgUpload is one client's decoded round contribution.
@@ -40,24 +36,13 @@ type fedavgUpload struct {
 // NewFedAvgAggregator wires the aggregator around the global model.
 func NewFedAvgAggregator(global *models.SplitModel, cfg Config) *FedAvgAggregator {
 	a := &FedAvgAggregator{Global: global, cfg: cfg.WithDefaults()}
-	a.foldFn = a.fold
-	a.releaseFn = func(u fedavgUpload) { comm.PutF32(u.state) }
-	return a
-}
-
-// Dropped reports how many malformed uploads have been discarded since
-// construction; surfaced so operators can tell a skewed aggregate from a
-// healthy one.
-func (a *FedAvgAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *FedAvgAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
+	a.hooks = Hooks[fedavgUpload]{
+		Decode:   a.decodeUpload,
+		Fold:     a.fold,
+		Release:  func(u fedavgUpload) { comm.PutF32(u.state) },
+		Finalize: a.finalize,
 	}
+	return a
 }
 
 // Broadcast implements Aggregator.
@@ -71,14 +56,11 @@ func (a *FedAvgAggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes one dense upload into a pooled vector; the
-// shared front half of Collect, CollectLate and CollectBatch.
-func (a *FedAvgAggregator) decodeUpload(trainSize int, payload []byte) (fedavgUpload, bool) {
-	a.size("payload.up", len(payload))
+// decodeUpload decodes one dense upload into a pooled vector.
+func (a *FedAvgAggregator) decodeUpload(_ uint32, trainSize int, payload []byte) (fedavgUpload, bool) {
 	n := a.Global.StateLen(models.ScopeAll)
 	state, err := comm.DecodeDenseAnyInto(comm.GetF32(n), payload)
 	if err != nil || len(state) != n {
-		a.dropped.Add(1)
 		comm.PutF32(state)
 		return fedavgUpload{}, false
 	}
@@ -89,8 +71,8 @@ func (a *FedAvgAggregator) decodeUpload(trainSize int, payload []byte) (fedavgUp
 // accumulator. Folds run only on the collect goroutine, in the order
 // the streaming cursor dictates; per index the chunked accumulation is
 // independent, so the chain is bitwise identical at any GOMAXPROCS.
-func (a *FedAvgAggregator) fold(u fedavgUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+func (a *FedAvgAggregator) fold(round int, u fedavgUpload) {
+	defer a.span(round, "agg.fold").End()
 	n := len(u.state)
 	if a.folded == 0 {
 		if cap(a.acc) < n {
@@ -109,54 +91,9 @@ func (a *FedAvgAggregator) fold(u fedavgUpload) {
 	})
 }
 
-// Collect implements Aggregator: decode into a pooled vector and hand
-// it to the streaming engine — folded immediately at the cursor, staged
-// briefly when it arrives early. The buffer is released right after the
-// fold, not at FinishRound.
-func (a *FedAvgAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
-	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *FedAvgAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: decode a whole batch of
-// uploads concurrently, then ingest in upload order — equivalent to
-// sequential Collect calls, with the per-upload decode parallelized.
-func (a *FedAvgAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      fedavgUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
-}
-
-// FinishRound implements Aggregator: drain anything still staged, then
-// finalize the accumulated Σwᵢxᵢ with a single ÷Σw per index — bitwise
+// finalize divides the accumulated Σwᵢxᵢ by Σw per index — bitwise
 // identical to StreamFoldRefFedAvg at any GOMAXPROCS.
-func (a *FedAvgAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
-	a.curRound = round
-	a.finishStream()
+func (a *FedAvgAggregator) finalize(round int) {
 	if a.folded == 0 || a.sumW == 0 {
 		a.folded = 0
 		return

@@ -7,7 +7,6 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
@@ -17,7 +16,6 @@ import (
 // their momentum buffers, the server averages and redistributes them
 // (the ≈2× per-round uplink the SPATL paper reports for FedNova).
 type FedNovaAggregator struct {
-	Telemetered
 	stream[fednovaUpload]
 	Global *models.SplitModel
 
@@ -29,8 +27,6 @@ type FedNovaAggregator struct {
 	sumW     float64
 	sumWTau  float64 // Σ wᵢ·τᵢ (τ_eff numerator)
 	folded   int
-	curRound int
-	dropped  telemetry.Counter
 }
 
 // fednovaUpload is one client's decoded round contribution.
@@ -47,29 +43,20 @@ func NewFedNovaAggregator(global *models.SplitModel, cfg Config) *FedNovaAggrega
 		cfg:      cfg.WithDefaults(),
 		velocity: make([]float32, nn.ParamCount(global.Params())),
 	}
-	a.foldFn = a.fold
-	a.releaseFn = func(u fednovaUpload) {
-		comm.PutF32(u.d)
-		comm.PutF32(u.v)
+	a.hooks = Hooks[fednovaUpload]{
+		Decode: a.decodeUpload,
+		Fold:   a.fold,
+		Release: func(u fednovaUpload) {
+			comm.PutF32(u.d)
+			comm.PutF32(u.v)
+		},
+		Finalize: a.finalize,
 	}
 	return a
 }
 
 // Velocity exposes the server-averaged momentum (read-only use).
 func (a *FedNovaAggregator) Velocity() []float32 { return a.velocity }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *FedNovaAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *FedNovaAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
-	}
-}
 
 // Broadcast implements Aggregator: joined dense payloads for the model
 // state and the server momentum.
@@ -88,13 +75,10 @@ func (a *FedNovaAggregator) Broadcast(round int) []byte {
 }
 
 // decodeUpload decodes one three-part upload — normalized update d,
-// momentum buffer, and the local step count τ as 4-byte little-endian —
-// the shared front half of Collect, CollectLate and CollectBatch.
-func (a *FedNovaAggregator) decodeUpload(trainSize int, payload []byte) (fednovaUpload, bool) {
-	a.size("payload.up", len(payload))
+// momentum buffer, and the local step count τ as 4-byte little-endian.
+func (a *FedNovaAggregator) decodeUpload(_ uint32, trainSize int, payload []byte) (fednovaUpload, bool) {
 	parts, err := comm.SplitPayloads(payload)
 	if err != nil || len(parts) != 3 || len(parts[2]) != 4 {
-		a.dropped.Add(1)
 		return fednovaUpload{}, false
 	}
 	steps := binary.LittleEndian.Uint32(parts[2])
@@ -102,7 +86,6 @@ func (a *FedNovaAggregator) decodeUpload(trainSize int, payload []byte) (fednova
 	d, err1 := comm.DecodeDenseAnyInto(comm.GetF32(nState), parts[0])
 	v, err2 := comm.DecodeDenseAnyInto(comm.GetF32(len(a.velocity)), parts[1])
 	if err1 != nil || err2 != nil || len(d) != nState || len(v) != len(a.velocity) || steps == 0 {
-		a.dropped.Add(1)
 		comm.PutF32(d)
 		comm.PutF32(v)
 		return fednovaUpload{}, false
@@ -112,8 +95,8 @@ func (a *FedNovaAggregator) decodeUpload(trainSize int, payload []byte) (fednova
 
 // fold adds one upload's unscaled wᵢ·dᵢ and wᵢ·vᵢ terms into the
 // float64 accumulators and tallies the τ_eff numerator.
-func (a *FedNovaAggregator) fold(u fednovaUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+func (a *FedNovaAggregator) fold(round int, u fednovaUpload) {
+	defer a.span(round, "agg.fold").End()
 	if a.folded == 0 {
 		if cap(a.accD) < len(u.d) {
 			a.accD = make([]float64, len(u.d))
@@ -142,52 +125,10 @@ func (a *FedNovaAggregator) fold(u fednovaUpload) {
 	})
 }
 
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; buffers release right after the fold.
-func (a *FedNovaAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
-	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *FedNovaAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *FedNovaAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      fednovaUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
-}
-
-// FinishRound implements Aggregator: τ_eff = Σwᵢτᵢ/Σwᵢ ; x_g ← x_g −
-// τ_eff·(Σwᵢdᵢ/Σwᵢ) ; velocity = Σwᵢvᵢ/Σwᵢ — the finalize half of the
-// two-phase reduce, bitwise identical to StreamFoldRefFedNova at any
-// GOMAXPROCS.
-func (a *FedNovaAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
-	a.curRound = round
-	a.finishStream()
+// finalize applies τ_eff = Σwᵢτᵢ/Σwᵢ ; x_g ← x_g − τ_eff·(Σwᵢdᵢ/Σwᵢ) ;
+// velocity = Σwᵢvᵢ/Σwᵢ — the finalize half of the two-phase reduce,
+// bitwise identical to StreamFoldRefFedNova at any GOMAXPROCS.
+func (a *FedNovaAggregator) finalize(round int) {
 	if a.folded == 0 || a.sumW == 0 {
 		a.folded = 0
 		return

@@ -30,7 +30,7 @@ import (
 //
 // Aggregator calls happen when the transport delivers — Collect on
 // arrival, CollectLate at delivery, MarkAbsent the moment a position is
-// known not to deliver this round, CollectAll once per pooled shard — so
+// known not to deliver this round, CollectBatch once per pooled shard — so
 // uploads fold on arrival and the call sequence is the transport's.
 // Journal events are canonical whatever the arrival order:
 //
@@ -152,7 +152,7 @@ func (r *Round) absent(pos int, out outcome) {
 // Shard delivers one pooled shard payload (ShardBuffer wire format)
 // covering selection positions [lo, hi), hi > lo. Its entries are matched in
 // order against the positions still unresolved; matched entries take
-// the selection's train size and fold in one CollectAll, and every
+// the selection's train size and fold in one CollectBatch, and every
 // unmatched position is dropped. durNS, indexed by selection position,
 // gives the durations journaled with the uploads; nil journals the time
 // since Begin. Returns the matched payload bytes, the positions dropped,
@@ -191,7 +191,9 @@ func (r *Round) Shard(sh, lo, hi int, pooled []byte, durNS []int64) (up int64, d
 		faults++
 	}
 	r.shards = append(r.shards, shardEvent{telemetry.ShardPush(r.round, sh, len(kept), int64(len(pooled))), hi - 1})
-	CollectAll(r.agg, r.round, kept)
+	if len(kept) > 0 {
+		r.agg.CollectBatch(r.round, kept)
+	}
 	r.folded += len(kept)
 	r.onTime += len(kept)
 	clear(kept) // the payloads alias pooled, which the caller recycles

@@ -3,29 +3,23 @@ package algo
 import (
 	"encoding/binary"
 	"fmt"
-
-	"spatl/internal/tensor"
 )
 
 // Sharded aggregation: at 10k+ sampled clients per round, a single
 // sequential collect pass is the serial bottleneck of a federation — every
-// upload must be decoded and validated before the (already parallel)
-// reduction runs. The shard layer partitions the selection into contiguous
-// shards, lets each shard buffer its uploads independently (edge
-// aggregators over TCP, concurrent collectors in-process), and folds the
-// pooled shard payloads back into the flat aggregator in fixed shard-ID
-// order.
+// upload must be decoded and validated before it folds. The shard layer
+// partitions the selection into contiguous shards, lets each shard pool
+// its uploads independently (edge aggregators over TCP, concurrent
+// collectors in-process) into one ShardBuffer payload, and delivers each
+// pooled payload to the round engine (Round.Shard), which hands its
+// entries to the aggregator in one CollectBatch.
 //
-// Determinism contract: shards partition the selection *contiguously in
-// selection order*, and the fold replays uploads in (shard ID, within-shard
-// arrival) order — which is exactly the flat selection order. Every
-// aggregator buffers uploads in Collect and reduces in FinishRound, so the
-// pending order (and therefore the floating-point reduction) is identical
-// to the flat path: the sharded fold is bitwise identical to the flat
-// collect at any shard count. The batch decode path (BatchCollector)
-// parallelizes only the per-upload decode — order-independent work — and
-// appends results in upload order, preserving the same guarantee at any
-// GOMAXPROCS.
+// Determinism contract: CollectBatch parallelizes only the per-upload
+// decode — order-independent work — and then ingests in upload order,
+// so it performs exactly the folds sequential Collect calls would. The
+// stream engine's cursor fixes the fold order at ascending client ID
+// whatever order the shards arrive in, so the sharded reduce is bitwise
+// identical to the flat collect at any shard count and any GOMAXPROCS.
 
 // Upload is one client's round contribution as a transport delivered it:
 // the identity and data weight from the hello handshake plus the opaque
@@ -101,98 +95,28 @@ func (s *ShardBuffer) Reset() {
 	s.n = 0
 }
 
-// DecodeShardPayload walks a pooled shard payload, calling fn for each
-// entry in order. Payload slices alias buf and are only valid during the
-// call. A malformed payload stops the walk with an error; entries already
-// delivered stand.
-func DecodeShardPayload(buf []byte, fn func(u Upload)) error {
+// ShardEntries decodes a pooled shard payload into an Upload slice
+// (payloads alias buf), appending to dst. A malformed payload stops the
+// walk with an error; entries already decoded stand.
+func ShardEntries(dst []Upload, buf []byte) ([]Upload, error) {
 	for len(buf) > 0 {
 		if len(buf) < shardEntryHeader {
-			return fmt.Errorf("algo: truncated shard entry header (%d bytes)", len(buf))
+			return dst, fmt.Errorf("algo: truncated shard entry header (%d bytes)", len(buf))
 		}
 		client := binary.LittleEndian.Uint32(buf[0:4])
 		trainSize := binary.LittleEndian.Uint32(buf[4:8])
 		n := binary.LittleEndian.Uint32(buf[8:12])
 		buf = buf[shardEntryHeader:]
 		if int(n) > len(buf) {
-			return fmt.Errorf("algo: shard entry length %d exceeds remaining %d", n, len(buf))
+			return dst, fmt.Errorf("algo: shard entry length %d exceeds remaining %d", n, len(buf))
 		}
-		fn(Upload{Client: client, TrainSize: int(trainSize), Payload: buf[:n]})
+		dst = append(dst, Upload{Client: client, TrainSize: int(trainSize), Payload: buf[:n]})
 		buf = buf[n:]
 	}
-	return nil
+	return dst, nil
 }
 
-// ShardEntries decodes a pooled shard payload into an Upload slice
-// (payloads alias buf), appending to dst.
-func ShardEntries(dst []Upload, buf []byte) ([]Upload, error) {
-	err := DecodeShardPayload(buf, func(u Upload) { dst = append(dst, u) })
-	return dst, err
-}
-
-// BatchCollector is the optional fast path of an Aggregator: deliver a
-// whole batch of uploads at once so the per-upload decode — the serial
-// bottleneck of a flat collect pass at 10k+ clients — parallelizes
-// across the worker pool. Implementations must buffer results in upload
-// order, making CollectBatch equivalent to calling Collect sequentially.
-type BatchCollector interface {
-	CollectBatch(round int, ups []Upload)
-}
-
-// CollectAll feeds uploads to agg in order, through the parallel batch
-// decode when the aggregator supports it and the sequential Collect
-// contract otherwise.
-func CollectAll(agg Aggregator, round int, ups []Upload) {
-	if len(ups) == 0 {
-		return
-	}
-	if bc, ok := agg.(BatchCollector); ok {
-		bc.CollectBatch(round, ups)
-		return
-	}
-	for _, u := range ups {
-		agg.Collect(round, u.Client, u.TrainSize, u.Payload)
-	}
-}
-
-// FoldShards replays every shard's pooled uploads into agg in shard-ID
-// order — the canonical fold. Because shards partition the selection
-// contiguously, (shard ID, arrival order) is the flat selection order,
-// so the fold is bitwise identical to a flat sequential collect. Returns
-// the number of uploads folded and the first decode error (a malformed
-// shard payload contributes its valid prefix and is otherwise skipped —
-// consistent with the per-upload drop semantics of the aggregators).
-func FoldShards(agg Aggregator, round int, shards []*ShardBuffer) (int, error) {
-	var all []Upload
-	var firstErr error
-	for _, sh := range shards {
-		var err error
-		all, err = ShardEntries(all, sh.Payload())
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	CollectAll(agg, round, all)
-	return len(all), firstErr
-}
-
-// decodeBatch decodes every upload concurrently on the worker pool,
-// preserving upload order in the result and dropping entries decode
-// rejects. decode runs concurrently: it must only touch the upload it
-// was handed, pooled scratch, and atomic counters.
-func decodeBatch[T any](ups []Upload, decode func(Upload) (T, bool)) []T {
-	res := make([]T, len(ups))
-	keep := make([]bool, len(ups))
-	tensor.Parallel(len(ups), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res[i], keep[i] = decode(ups[i])
-		}
-	})
-	out := res[:0]
-	for i := range res {
-		if keep[i] {
-			out = append(out, res[i])
-		}
-	}
-	return out
-}
+// BatchCollector is Aggregator's CollectBatch on its own. It remains for
+// code written against it (the perfbench module), as StreamingAggregator
+// does.
+type BatchCollector interface{ CollectBatch(round int, ups []Upload) }

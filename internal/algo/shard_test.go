@@ -2,9 +2,9 @@ package algo
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"spatl/internal/comm"
@@ -231,9 +231,12 @@ func TestShardedReduceMatchesFlat(t *testing.T) {
 			}
 			wantDrops := flat.(interface{ Dropped() int64 }).Dropped()
 
+			sel := make([]Upload, clients)
+			for i, u := range ups {
+				sel[i] = Upload{Client: u.Client, TrainSize: u.TrainSize}
+			}
 			for _, S := range []int{1, 2, 3, 5, clients, clients + 4} {
-				for _, procs := range []int{1, runtime.NumCPU()} {
-					prev := runtime.GOMAXPROCS(procs)
+				forEachProcs(t, func(procs int) {
 					sharded := tc.agg()
 					shards := make([]*ShardBuffer, S)
 					for s := range shards {
@@ -244,15 +247,28 @@ func TestShardedReduceMatchesFlat(t *testing.T) {
 							shards[s].Add(u.Client, u.TrainSize, u.Payload)
 						}
 					}
-					folded, err := FoldShards(sharded, 0, shards)
+					// Deliver every non-empty shard through the round
+					// engine, as the sharded transports do.
+					r := NewRound(sharded, nil)
+					r.Begin(0, sel, 0)
+					var err error
+					for s, sh := range shards {
+						lo, hi := ShardRange(s, clients, S)
+						if lo == hi {
+							continue
+						}
+						if _, drops, faults := r.Shard(s, lo, hi, sh.Payload(), nil); drops+faults > 0 && err == nil {
+							err = fmt.Errorf("shard %d: %d drops, %d faults", s, drops, faults)
+						}
+					}
+					folded := r.Folded()
 					if err != nil {
 						t.Fatalf("S=%d: fold error: %v", S, err)
 					}
 					if folded != clients {
 						t.Fatalf("S=%d: folded %d uploads, want %d", S, folded, clients)
 					}
-					sharded.FinishRound(0)
-					runtime.GOMAXPROCS(prev)
+					r.Finish(0, 0)
 
 					label := tc.name + "/state"
 					bitsEqual(t, label, globalOf(sharded), wantState)
@@ -262,14 +278,17 @@ func TestShardedReduceMatchesFlat(t *testing.T) {
 					if d := sharded.(interface{ Dropped() int64 }).Dropped(); d != wantDrops {
 						t.Fatalf("S=%d procs=%d: drops %d, want %d", S, procs, d, wantDrops)
 					}
-				}
+				})
 			}
 		})
 	}
 }
 
-// TestCollectBatchMatchesSequential pins the BatchCollector fast path
-// directly against sequential Collect calls on a second aggregator.
+// TestCollectBatchMatchesSequential pins CollectBatch's concurrent
+// decode directly against sequential Collect calls on a second
+// aggregator, with one corrupt upload mid-batch: the aggregates finish
+// bitwise identical and the drop counts agree, at every forced
+// GOMAXPROCS.
 func TestCollectBatchMatchesSequential(t *testing.T) {
 	const clients = 6
 	for _, tc := range shardCases(t) {
@@ -279,21 +298,24 @@ func TestCollectBatchMatchesSequential(t *testing.T) {
 			for i := range ups {
 				ups[i] = Upload{Client: uint32(i), TrainSize: 40 + i, Payload: tc.upload(i)}
 			}
+			ups[2].Payload = []byte{0xba, 0xd0} // one corrupt upload mid-batch
 			seq := tc.agg()
 			for _, u := range ups {
 				seq.Collect(1, u.Client, u.TrainSize, u.Payload)
 			}
 			seq.FinishRound(1)
+			wantDrops := seq.(interface{ Dropped() int64 }).Dropped()
 
-			batch := tc.agg()
-			bc, ok := batch.(BatchCollector)
-			if !ok {
-				t.Fatalf("%T does not implement BatchCollector", batch)
-			}
-			bc.CollectBatch(1, ups)
-			batch.FinishRound(1)
+			forEachProcs(t, func(procs int) {
+				batch := tc.agg()
+				batch.CollectBatch(1, ups)
+				batch.FinishRound(1)
 
-			bitsEqual(t, tc.name, globalOf(batch), globalOf(seq))
+				bitsEqual(t, tc.name, globalOf(batch), globalOf(seq))
+				if d := batch.(interface{ Dropped() int64 }).Dropped(); d != wantDrops {
+					t.Fatalf("procs=%d: batch drops %d, sequential %d", procs, d, wantDrops)
+				}
+			})
 		})
 	}
 }

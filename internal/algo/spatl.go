@@ -8,7 +8,6 @@ import (
 	"spatl/internal/nn"
 	"spatl/internal/prune"
 	"spatl/internal/rl"
-	"spatl/internal/telemetry"
 	"spatl/internal/tensor"
 )
 
@@ -80,20 +79,17 @@ func (o SPATLOptions) CtrlParams(m *models.SplitModel) []*nn.Param {
 // aggregation of salient encoder deltas (eq. 12) and the 1/N-scaled
 // control-variate update at the uploaded indices (eq. 11).
 type SPATLAggregator struct {
-	Telemetered
 	stream[spatlUpload]
 	Global *models.SplitModel
 	Opts   SPATLOptions
 
-	cfg      Config
-	c        []float32 // server control variate over encoder trainable params
-	bcast    []byte
-	acc      []float64 // per-index Σ of salient deltas, folded on arrival
-	accC     []float64 // per-index Σ of control deltas
-	count    []int32   // per-index contributor count, reused across rounds
-	folded   int
-	curRound int
-	dropped  telemetry.Counter
+	cfg    Config
+	c      []float32 // server control variate over encoder trainable params
+	bcast  []byte
+	acc    []float64 // per-index Σ of salient deltas, folded on arrival
+	accC   []float64 // per-index Σ of control deltas
+	count  []int32   // per-index contributor count, reused across rounds
+	folded int
 }
 
 // spatlUpload is one client's decoded sparse contribution.
@@ -111,31 +107,22 @@ func NewSPATLAggregator(global *models.SplitModel, opts SPATLOptions, cfg Config
 		cfg:    cfg.WithDefaults(),
 		c:      make([]float32, nn.ParamCount(opts.CtrlParams(global))),
 	}
-	a.foldFn = a.fold
-	a.releaseFn = func(u spatlUpload) {
-		comm.PutSparse(u.dW)
-		if u.dC != nil {
-			comm.PutSparse(u.dC)
-		}
+	a.hooks = Hooks[spatlUpload]{
+		Decode: a.decodeUpload,
+		Fold:   a.fold,
+		Release: func(u spatlUpload) {
+			comm.PutSparse(u.dW)
+			if u.dC != nil {
+				comm.PutSparse(u.dC)
+			}
+		},
+		Finalize: a.finalize,
 	}
 	return a
 }
 
 // ControlVariate exposes the server control variate c (read-only use).
 func (a *SPATLAggregator) ControlVariate() []float32 { return a.c }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *SPATLAggregator) Dropped() int64 { return a.dropped.Value() }
-
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// through the registry — the same counter Dropped reads.
-func (a *SPATLAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
-	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-		a.wireStream(s.Reg)
-	}
-}
 
 // Broadcast implements Aggregator: the shared-scope model state, joined
 // with the server control variate unless gradient control is disabled.
@@ -160,22 +147,19 @@ func (a *SPATLAggregator) Broadcast(round int) []byte {
 
 // decodeUpload decodes one sparse delta, joined with a sparse control
 // delta unless gradient control is disabled. A bad control part keeps
-// the weight delta — the model update is still sound. The shared front
-// half of Collect, CollectLate and CollectBatch.
-func (a *SPATLAggregator) decodeUpload(payload []byte) (spatlUpload, bool) {
-	a.size("payload.up", len(payload))
+// the weight delta — the model update is still sound — and counts no
+// drop. Eq. 12 averages per index, so the train size is unused.
+func (a *SPATLAggregator) decodeUpload(_ uint32, _ int, payload []byte) (spatlUpload, bool) {
 	wantParts := 2
 	if a.Opts.DisableGradControl {
 		wantParts = 1
 	}
 	parts, err := comm.SplitPayloads(payload)
 	if err != nil || len(parts) != wantParts {
-		a.dropped.Add(1)
 		return spatlUpload{}, false
 	}
 	dW := &comm.Sparse{Values: comm.GetF32(len(parts[0]) / 4)[:0]}
 	if err := comm.DecodeSparseAnyInto(dW, parts[0]); err != nil {
-		a.dropped.Add(1)
 		comm.PutSparse(dW)
 		return spatlUpload{}, false
 	}
@@ -248,8 +232,8 @@ func scatterAccumValsRange(acc []float64, s *comm.Sparse, lo, hi int) {
 
 // fold scatters one upload's salient deltas into the float64
 // accumulators and bumps the per-index contributor counts.
-func (a *SPATLAggregator) fold(u spatlUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+func (a *SPATLAggregator) fold(round int, u spatlUpload) {
+	defer a.span(round, "agg.fold").End()
 	nState := a.Global.StateLen(a.Opts.Scope())
 	if a.folded == 0 {
 		if cap(a.acc) < nState {
@@ -283,52 +267,11 @@ func (a *SPATLAggregator) fold(u spatlUpload) {
 	}
 }
 
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; the sparse buffers release right after the fold.
-func (a *SPATLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.ingest(client, u)
-	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor.
-func (a *SPATLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *SPATLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      spatlUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
-}
-
-// FinishRound implements Aggregator: eq. 12 per-index averaging over
-// the folded salient deltas, then eq. 11 on the control variate — the
-// finalize half of the two-phase reduce, bitwise identical to
-// StreamFoldRefSPATL at any GOMAXPROCS.
-func (a *SPATLAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
-	a.curRound = round
-	a.finishStream()
+// finalize applies eq. 12 per-index averaging over the folded salient
+// deltas, then eq. 11 on the control variate — the finalize half of the
+// two-phase reduce, bitwise identical to StreamFoldRefSPATL at any
+// GOMAXPROCS.
+func (a *SPATLAggregator) finalize(round int) {
 	if a.folded == 0 {
 		return
 	}

@@ -76,7 +76,6 @@ func ssflScoresInto(dst []float32, m *models.SplitModel) []float32 {
 
 // SSFLAggregator is the server side of SSFL.
 type SSFLAggregator struct {
-	Telemetered
 	stream[ssflUpload]
 	Global *models.SplitModel
 	Opts   SSFLOptions
@@ -99,8 +98,6 @@ type SSFLAggregator struct {
 	sumW   float64
 	folded int
 
-	curRound   int
-	dropped    telemetry.Counter
 	sparseUp   telemetry.Counter // values-only uplink bytes accepted
 	sparseDown telemetry.Counter // sparse downlink bytes broadcast
 }
@@ -120,26 +117,25 @@ func NewSSFLAggregator(global *models.SplitModel, opts SSFLOptions, cfg Config) 
 		cfg:       cfg.WithDefaults(),
 		maskRound: -1,
 	}
-	a.foldFn = a.fold
-	a.releaseFn = func(u ssflUpload) { comm.PutF32(u.vec) }
+	a.hooks = Hooks[ssflUpload]{
+		Decode:   a.decodeUpload,
+		Fold:     a.fold,
+		Release:  func(u ssflUpload) { comm.PutF32(u.vec) },
+		Finalize: a.finalize,
+	}
 	return a
 }
-
-// Dropped reports how many malformed uploads have been discarded.
-func (a *SSFLAggregator) Dropped() int64 { return a.dropped.Value() }
 
 // Selection exposes the agreed global selection (nil before agreement).
 func (a *SSFLAggregator) Selection() *prune.Selection { return a.sel }
 
-// SetTelemetry implements Wirer, additionally exposing the drop counter
-// and the sparse wire-byte counters through the registry.
+// SetTelemetry implements Wirer, additionally exposing the sparse
+// wire-byte counters through the registry.
 func (a *SSFLAggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
+	a.stream.SetTelemetry(s)
 	if s != nil && s.Reg != nil {
-		s.Reg.Attach("algo.uploads_dropped", &a.dropped)
 		s.Reg.Attach("comm.sparse_up_bytes", &a.sparseUp)
 		s.Reg.Attach("comm.sparse_down_bytes", &a.sparseDown)
-		a.wireStream(s.Reg)
 	}
 }
 
@@ -174,7 +170,6 @@ func (a *SSFLAggregator) collectScores(payload []byte) ([]float32, bool) {
 	want := ssflScoreLen(a.Global)
 	scores, err := comm.DecodeDenseAnyInto(comm.GetF32(want), payload)
 	if err != nil || len(scores) != want {
-		a.dropped.Add(1)
 		comm.PutF32(scores)
 		return nil, false
 	}
@@ -185,7 +180,6 @@ func (a *SSFLAggregator) collectScores(payload []byte) ([]float32, bool) {
 func (a *SSFLAggregator) collectPacked(payload []byte) ([]float32, bool) {
 	vals, err := comm.DecodeSparseValsAnyInto(comm.GetF32(a.keptN), payload)
 	if err != nil || len(vals) != a.keptN {
-		a.dropped.Add(1)
 		comm.PutF32(vals)
 		return nil, false
 	}
@@ -193,10 +187,10 @@ func (a *SSFLAggregator) collectPacked(payload []byte) ([]float32, bool) {
 	return vals, true
 }
 
-// decodeUpload decodes one upload for the current phase; the shared
-// front half of Collect, CollectLate and CollectBatch.
-func (a *SSFLAggregator) decodeUpload(trainSize int, payload []byte) (ssflUpload, bool) {
-	a.size("payload.up", len(payload))
+// decodeUpload decodes one upload for the current phase. A stale score
+// upload arriving late after the mask was agreed fails the packed
+// decode and counts as dropped.
+func (a *SSFLAggregator) decodeUpload(_ uint32, trainSize int, payload []byte) (ssflUpload, bool) {
 	var vec []float32
 	var ok bool
 	if a.sel == nil {
@@ -213,9 +207,9 @@ func (a *SSFLAggregator) decodeUpload(trainSize int, payload []byte) (ssflUpload
 // fold adds one upload's unscaled wᵢ·xᵢ term into the float64
 // accumulator — the same fold for both phases, since the vector length
 // (score vs packed) is fixed within a round and the phase only flips in
-// FinishRound after the stream drained.
-func (a *SSFLAggregator) fold(u ssflUpload) {
-	defer a.span(a.curRound, "agg.fold").End()
+// finalize after the stream drained.
+func (a *SSFLAggregator) fold(round int, u ssflUpload) {
+	defer a.span(round, "agg.fold").End()
 	n := len(u.vec)
 	if a.folded == 0 {
 		if cap(a.acc) < n {
@@ -234,51 +228,9 @@ func (a *SSFLAggregator) fold(u ssflUpload) {
 	})
 }
 
-// Collect implements Aggregator: decode, then fold through the
-// streaming cursor; buffers release right after the fold.
-func (a *SSFLAggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.ingest(client, u)
-	}
-}
-
-// CollectLate implements Aggregator: a carried-over straggler
-// upload folds at its delivery position, outside the cursor. A stale
-// score upload arriving after the mask was agreed fails the packed
-// decode and counts as dropped, same as the buffered path.
-func (a *SSFLAggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(trainSize, payload); ok {
-		a.foldNow(u)
-	}
-}
-
-// CollectBatch implements BatchCollector: the Collect decode run
-// concurrently over a whole batch, then ingested in upload order.
-func (a *SSFLAggregator) CollectBatch(round int, ups []Upload) {
-	defer a.span(round, "agg.collect").End()
-	a.curRound = round
-	type entry struct {
-		client uint32
-		u      ssflUpload
-	}
-	entries := decodeBatch(ups, func(up Upload) (entry, bool) {
-		u, ok := a.decodeUpload(up.TrainSize, up.Payload)
-		return entry{client: up.Client, u: u}, ok
-	})
-	for _, e := range entries {
-		a.ingest(e.client, e.u)
-	}
-}
-
-// FinishRound implements Aggregator.
-func (a *SSFLAggregator) FinishRound(round int) {
-	defer a.span(round, "agg.reduce").End()
-	a.curRound = round
-	a.finishStream()
+// finalize agrees the mask at the end of the agreement round, and
+// otherwise applies the packed average at the kept indices.
+func (a *SSFLAggregator) finalize(round int) {
 	if a.sel == nil {
 		a.agreeMask(round)
 		return

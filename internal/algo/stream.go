@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"spatl/internal/telemetry"
+	"spatl/internal/tensor"
 )
 
 // Streaming aggregation: fold-on-arrival with deterministic bounded
@@ -32,6 +33,29 @@ import (
 // stays for code written against it (the perfbench module).
 type StreamingAggregator = Aggregator
 
+// Hooks are the algorithm half of an aggregator: how one upload decodes,
+// folds, releases its buffers, and how the round finalizes. The stream
+// engine owns everything else — Collect, CollectLate, CollectBatch and
+// FinishRound, the fold cursor and staging, drop accounting, and the
+// agg.collect/agg.reduce spans and payload.up sizes.
+type Hooks[U any] struct {
+	// Decode validates one upload and decodes it into pooled buffers.
+	// It runs concurrently inside CollectBatch, so it may touch only the
+	// payload it is handed, state that is read-only during collection,
+	// pooled scratch and atomic counters. ok=false discards the upload
+	// and counts exactly one drop.
+	Decode func(client uint32, trainSize int, payload []byte) (u U, ok bool)
+	// Fold merges one decoded upload into the accumulators. Folds run on
+	// the collect goroutine only, in the order the cursor dictates.
+	Fold func(round int, u U)
+	// Release returns an upload's pooled buffers, after its fold or when
+	// the staging bound evicts it.
+	Release func(u U)
+	// Finalize applies the round's folded accumulators; FinishRound
+	// calls it once the stream has drained.
+	Finalize func(round int)
+}
+
 // stagedEntry is one parked out-of-order upload.
 type stagedEntry[U any] struct {
 	pos int // position in the canonical fold order
@@ -39,12 +63,12 @@ type stagedEntry[U any] struct {
 }
 
 // stream is the generic fold-on-arrival engine embedded by every
-// aggregator. The embedding aggregator wires foldFn/releaseFn in its
-// constructor; fold order is the engine's contract, the arithmetic is
-// the aggregator's.
+// aggregator, which wires its Hooks in its constructor: fold order and
+// the collect front end are the engine's, the arithmetic is the
+// aggregator's.
 type stream[U any] struct {
-	foldFn    func(U) // fold one decoded upload into the accumulators
-	releaseFn func(U) // return the upload's pooled buffers
+	Telemetered
+	hooks Hooks[U]
 
 	order   []uint32         // canonical fold order (ascending client ID)
 	arrived []bool           // position resolved: folded, staged or absent
@@ -52,23 +76,36 @@ type stream[U any] struct {
 	staged  []stagedEntry[U] // parked out-of-order uploads (unordered)
 	limit   int              // staging bound; <=0 means len(order)
 
+	dropped  telemetry.Counter // "algo.uploads_dropped": uploads Decode rejected
 	inflight telemetry.Gauge   // "agg.inflight": selected uploads not yet resolved
 	stagedG  telemetry.Gauge   // "agg.staged": currently parked uploads
 	peak     telemetry.Counter // "agg.peak_staged": high-water mark of staged
 	overflow telemetry.Counter // "agg.staged_overflow": uploads evicted at the bound
 }
 
-// wireStream exposes the engine's gauges and counters through the
-// registry; called from each aggregator's SetTelemetry.
-func (s *stream[U]) wireStream(reg *telemetry.Registry) {
-	reg.AttachGauge("agg.inflight", &s.inflight)
-	reg.AttachGauge("agg.staged", &s.stagedG)
-	reg.Attach("agg.peak_staged", &s.peak)
-	reg.Attach("agg.staged_overflow", &s.overflow)
+// SetTelemetry implements Wirer: it installs the set and exposes the
+// drop counter and the engine's gauges and counters through the
+// registry. Aggregators with counters of their own extend it.
+func (s *stream[U]) SetTelemetry(set *telemetry.Set) {
+	s.Telemetered.SetTelemetry(set)
+	if set == nil || set.Reg == nil {
+		return
+	}
+	set.Reg.Attach("algo.uploads_dropped", &s.dropped)
+	set.Reg.AttachGauge("agg.inflight", &s.inflight)
+	set.Reg.AttachGauge("agg.staged", &s.stagedG)
+	set.Reg.Attach("agg.peak_staged", &s.peak)
+	set.Reg.Attach("agg.staged_overflow", &s.overflow)
 }
 
-// BeginRound implements Aggregator (promoted). The selection
-// is copied and sorted ascending — the canonical fold order.
+// Dropped reports how many malformed uploads have been discarded since
+// construction — the same counter the registry exposes as
+// "algo.uploads_dropped"; operators use it to tell a skewed aggregate
+// from a healthy one.
+func (s *stream[U]) Dropped() int64 { return s.dropped.Value() }
+
+// BeginRound implements Aggregator. The selection is copied and sorted
+// ascending — the canonical fold order.
 func (s *stream[U]) BeginRound(round int, selected []uint32) {
 	s.order = append(s.order[:0], selected...)
 	sorted := true
@@ -93,7 +130,7 @@ func (s *stream[U]) BeginRound(round int, selected []uint32) {
 	s.stagedG.Set(0)
 }
 
-// SetStagingLimit implements Aggregator (promoted).
+// SetStagingLimit implements Aggregator.
 func (s *stream[U]) SetStagingLimit(n int) { s.limit = n }
 
 // StagingPeak reports the high-water mark of concurrently staged
@@ -104,8 +141,65 @@ func (s *stream[U]) StagingPeak() int64 { return s.peak.Value() }
 // the same counter the registry exposes as "agg.staged_overflow".
 func (s *stream[U]) StagingOverflow() int64 { return s.overflow.Value() }
 
-// MarkAbsent implements Aggregator (promoted): resolve a
-// selected client's position without a fold so the cursor can pass it.
+// Collect implements Aggregator: decode, then fold at the cursor or
+// stage an early arrival. The decoded buffers are released right after
+// the fold, not at FinishRound.
+func (s *stream[U]) Collect(round int, client uint32, trainSize int, payload []byte) {
+	defer s.span(round, "agg.collect").End()
+	if u, ok := s.decode(client, trainSize, payload); ok {
+		s.ingest(round, client, u)
+	}
+}
+
+// CollectLate implements Aggregator: a carried-over straggler upload
+// folds at its delivery position, outside the cursor.
+func (s *stream[U]) CollectLate(round int, client uint32, trainSize int, payload []byte) {
+	defer s.span(round, "agg.collect").End()
+	if u, ok := s.decode(client, trainSize, payload); ok {
+		s.foldRelease(round, u)
+	}
+}
+
+// CollectBatch implements Aggregator: decode the whole batch
+// concurrently on the worker pool, then ingest in upload order — the
+// same folds, in the same order, as sequential Collect calls.
+func (s *stream[U]) CollectBatch(round int, ups []Upload) {
+	defer s.span(round, "agg.collect").End()
+	us := make([]U, len(ups))
+	ok := make([]bool, len(ups))
+	tensor.Parallel(len(ups), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			us[i], ok[i] = s.decode(ups[i].Client, ups[i].TrainSize, ups[i].Payload)
+		}
+	})
+	for i, up := range ups {
+		if ok[i] {
+			s.ingest(round, up.Client, us[i])
+		}
+	}
+}
+
+// FinishRound implements Aggregator: drain whatever is still staged in
+// position order, then finalize.
+func (s *stream[U]) FinishRound(round int) {
+	defer s.span(round, "agg.reduce").End()
+	s.drain(round)
+	s.hooks.Finalize(round)
+}
+
+// decode observes the upload's size and decodes it, counting a
+// rejected upload as one drop. Safe for concurrent use.
+func (s *stream[U]) decode(client uint32, trainSize int, payload []byte) (U, bool) {
+	s.size("payload.up", len(payload))
+	u, ok := s.hooks.Decode(client, trainSize, payload)
+	if !ok {
+		s.dropped.Inc()
+	}
+	return u, ok
+}
+
+// MarkAbsent implements Aggregator: resolve a selected client's
+// position without a fold so the cursor can pass it.
 func (s *stream[U]) MarkAbsent(round int, client uint32) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
@@ -113,7 +207,7 @@ func (s *stream[U]) MarkAbsent(round int, client uint32) {
 	}
 	s.arrived[pos] = true
 	if pos == s.cursor {
-		s.advance()
+		s.advance(round)
 	}
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 }
@@ -129,33 +223,29 @@ func (s *stream[U]) find(client uint32) (int, bool) {
 // position (the buffered path's append semantics for extras). While no
 // selection is announced every client is unknown, so uploads fold in
 // arrival order.
-func (s *stream[U]) ingest(client uint32, u U) {
+func (s *stream[U]) ingest(round int, client uint32, u U) {
 	pos, ok := s.find(client)
 	if !ok || s.arrived[pos] {
 		// Not selected this round (or no selection announced), or a
 		// duplicate of a resolved position: fold where it arrived —
 		// extras have no slot in the canonical order.
-		s.foldRelease(u)
+		s.foldRelease(round, u)
 		return
 	}
 	s.arrived[pos] = true
 	if pos == s.cursor {
-		s.foldRelease(u)
+		s.foldRelease(round, u)
 		s.cursor++
-		s.advance()
+		s.advance(round)
 		return
 	}
 	s.stage(pos, u)
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 }
 
-// foldNow folds an upload immediately, outside the cursor discipline —
-// the CollectLate path.
-func (s *stream[U]) foldNow(u U) { s.foldRelease(u) }
-
-func (s *stream[U]) foldRelease(u U) {
-	s.foldFn(u)
-	s.releaseFn(u)
+func (s *stream[U]) foldRelease(round int, u U) {
+	s.hooks.Fold(round, u)
+	s.hooks.Release(u)
 }
 
 // stage parks an early upload, enforcing the bound by evicting the
@@ -175,10 +265,10 @@ func (s *stream[U]) stage(pos int, u U) {
 		}
 		s.overflow.Inc()
 		if s.staged[far].pos > pos {
-			s.releaseFn(s.staged[far].u)
+			s.hooks.Release(s.staged[far].u)
 			s.staged[far] = stagedEntry[U]{pos: pos, u: u}
 		} else {
-			s.releaseFn(u)
+			s.hooks.Release(u)
 		}
 		s.stagedG.Set(int64(len(s.staged)))
 		return
@@ -191,36 +281,33 @@ func (s *stream[U]) stage(pos int, u U) {
 }
 
 // advance folds staged uploads in position order for as long as every
-// position at the cursor is resolved.
-func (s *stream[U]) advance() {
+// position at the cursor is resolved. An absent position has no staged
+// entry, so the cursor just passes it.
+func (s *stream[U]) advance(round int) {
 	for s.cursor < len(s.order) && s.arrived[s.cursor] {
-		found := false
 		for i := range s.staged {
 			if s.staged[i].pos == s.cursor {
-				s.foldRelease(s.staged[i].u)
+				s.foldRelease(round, s.staged[i].u)
 				last := len(s.staged) - 1
 				s.staged[i] = s.staged[last]
 				s.staged[last] = stagedEntry[U]{}
 				s.staged = s.staged[:last]
-				found = true
 				break
 			}
 		}
-		_ = found // absent positions have no staged entry: nothing to fold
 		s.cursor++
 	}
 	s.inflight.Set(int64(len(s.order) - s.cursor))
 	s.stagedG.Set(int64(len(s.staged)))
 }
 
-// finishStream drains whatever is still parked — uploads whose
-// predecessors never arrived — in position order, then resets the round
-// state. Called at the top of every FinishRound, before finalization.
-func (s *stream[U]) finishStream() {
+// drain folds whatever is still parked — uploads whose predecessors
+// never arrived — in position order, then resets the round state.
+func (s *stream[U]) drain(round int) {
 	if len(s.staged) > 0 {
 		sort.Slice(s.staged, func(i, j int) bool { return s.staged[i].pos < s.staged[j].pos })
 		for i := range s.staged {
-			s.foldRelease(s.staged[i].u)
+			s.foldRelease(round, s.staged[i].u)
 			s.staged[i] = stagedEntry[U]{}
 		}
 		s.staged = s.staged[:0]
@@ -231,7 +318,8 @@ func (s *stream[U]) finishStream() {
 	s.stagedG.Set(0)
 }
 
-// Interface conformance: all six algorithm cores stream.
+// Interface conformance of the five in-package cores (the sixth,
+// hetero.Aggregator, embeds Stream).
 var (
 	_ Aggregator = (*FedAvgAggregator)(nil)
 	_ Aggregator = (*FedNovaAggregator)(nil)

@@ -11,16 +11,17 @@ import "spatl/internal/telemetry"
 // Span vocabulary (trace ID = round+1):
 //
 //	agg.broadcast  encode the round broadcast        (server)
-//	agg.collect    decode + buffer one upload        (server)
+//	agg.collect    decode and route one upload, or one CollectBatch (server)
 //	agg.fold       fold one upload into the running accumulators (server)
-//	agg.reduce     finalize the round's accumulators  (server)
+//	agg.reduce     drain the stream, finalize the round (server)
 //	client.update  one full LocalUpdate               (client)
 //	client.train   the LocalSGD inside it             (client)
 //	client.select  SPATL salient selection            (client)
 //
 // Size vocabulary: "payload.down" bytes per broadcast, "payload.up"
-// bytes per collected upload — both observed server-side so the sim's
-// shared set counts each payload exactly once.
+// bytes per collected upload, dropped ones included — both observed
+// server-side so the sim's shared set counts each payload exactly once.
+// The counter "algo.uploads_dropped" counts uploads whose decode failed.
 //
 // Streaming vocabulary (see stream.go): gauges "agg.inflight" (selected
 // uploads not yet resolved this round) and "agg.staged" (uploads parked

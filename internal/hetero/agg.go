@@ -35,7 +35,6 @@ type heteroUpload struct {
 // slices both sums collapse to FedAvg's Σwx and Σw — the degenerate
 // federation is bitwise FedAvg.
 type Aggregator struct {
-	algo.Telemetered
 	algo.Stream[heteroUpload]
 	Global *models.SplitModel
 
@@ -50,11 +49,8 @@ type Aggregator struct {
 	acc        [][]float64 // per-cluster Σ wᵢ·xᵢ over covered indices
 	wsum       [][]float64 // per-cluster Σ wᵢ per covered index
 	folded     []int       // uploads folded per cluster this round
-	curRound   int
-	bcast      []byte            // reusable broadcast body
-	upd        comm.HeteroUpdate // decode scratch (values handed off per upload)
+	bcast      []byte      // reusable broadcast body
 
-	dropped telemetry.Counter
 	upBytes map[uint16]*telemetry.Counter // per-width uplink payload bytes
 	sizes   []telemetry.Gauge             // per-cluster member counts
 }
@@ -104,7 +100,12 @@ func NewAggregator(global *models.SplitModel, opts Options, cfg algo.Config) *Ag
 		a.acc[k] = make([]float64, a.stateLen)
 		a.wsum[k] = make([]float64, a.stateLen)
 	}
-	a.Init(a.fold, func(u heteroUpload) { comm.PutF32(u.vals) })
+	a.Init(algo.Hooks[heteroUpload]{
+		Decode:   a.decodeUpload,
+		Fold:     a.fold,
+		Release:  func(u heteroUpload) { comm.PutF32(u.vals) },
+		Finalize: a.finalize,
+	})
 	return a
 }
 
@@ -131,11 +132,6 @@ func (a *Aggregator) Assignments() []uint8 { return a.cl.Assign }
 // Slice returns the server's SliceSpec for a width (by milli key).
 func (a *Aggregator) Slice(milli uint16) *SliceSpec { return a.slices[milli] }
 
-// Dropped reports how many uploads failed validation (malformed frame,
-// unknown width, wrong cluster, or a slice spec that does not match the
-// server's) and were discarded.
-func (a *Aggregator) Dropped() int64 { return a.dropped.Value() }
-
 // UpBytes reports the accepted uplink payload bytes for one width pool
 // entry (by milli key).
 func (a *Aggregator) UpBytes(milli uint16) int64 {
@@ -145,17 +141,15 @@ func (a *Aggregator) UpBytes(milli uint16) int64 {
 	return 0
 }
 
-// SetTelemetry implements algo.Wirer, exposing the drop counter, the
-// streaming gauges, the per-width uplink byte counters
+// SetTelemetry implements algo.Wirer: the stream engine's drop counter
+// and gauges, plus the per-width uplink byte counters
 // ("hetero.up_bytes.w<milli>") and the per-cluster size gauges
 // ("hetero.cluster_size.<k>").
 func (a *Aggregator) SetTelemetry(s *telemetry.Set) {
-	a.Telemetered.SetTelemetry(s)
+	a.Stream.SetTelemetry(s)
 	if s == nil || s.Reg == nil {
 		return
 	}
-	s.Reg.Attach("algo.uploads_dropped", &a.dropped)
-	a.WireStream(s.Reg)
 	for m, c := range a.upBytes {
 		s.Reg.Attach(fmt.Sprintf("hetero.up_bytes.w%d", m), c)
 	}
@@ -178,30 +172,27 @@ func (a *Aggregator) Broadcast(round int) []byte {
 	return a.bcast
 }
 
-// decodeUpload decodes and validates one upload; the shared front half
-// of Collect and CollectLate. The frame's values move into a pooled
-// buffer owned by the returned upload; its ranges are checked against
-// the server's own SliceSpec and discarded.
+// decodeUpload decodes and validates one upload (malformed frame,
+// unknown width, wrong cluster, or a slice spec that does not match the
+// server's all reject it). The frame's values move into a pooled buffer
+// owned by the returned upload; its ranges are checked against the
+// server's own SliceSpec and discarded. It decodes into a per-call
+// frame, so concurrent calls from CollectBatch share nothing mutable.
 func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) (heteroUpload, bool) {
-	a.ObserveSize("payload.up", len(payload))
 	if int(client) >= len(a.milli) {
-		a.dropped.Add(1)
 		return heteroUpload{}, false
 	}
 	milli := a.milli[client]
 	sl := a.slices[milli]
-	a.upd.Values = comm.GetF32(sl.Count())
-	if err := comm.DecodeHeteroUpdateInto(&a.upd, payload); err != nil ||
-		a.upd.WidthMilli != milli ||
-		a.upd.Cluster != a.cl.Assign[client] ||
-		!sl.RangesEqual(a.upd.Ranges) {
-		a.dropped.Add(1)
-		comm.PutF32(a.upd.Values)
-		a.upd.Values = nil
+	upd := comm.HeteroUpdate{Sparse: comm.Sparse{Values: comm.GetF32(sl.Count())}}
+	if err := comm.DecodeHeteroUpdateInto(&upd, payload); err != nil ||
+		upd.WidthMilli != milli ||
+		upd.Cluster != a.cl.Assign[client] ||
+		!sl.RangesEqual(upd.Ranges) {
+		comm.PutF32(upd.Values)
 		return heteroUpload{}, false
 	}
-	u := heteroUpload{client: client, cluster: a.upd.Cluster, vals: a.upd.Values, w: float64(trainSize)}
-	a.upd.Values = nil
+	u := heteroUpload{client: client, cluster: upd.Cluster, vals: upd.Values, w: float64(trainSize)}
 	if c, ok := a.upBytes[milli]; ok {
 		c.Add(int64(len(payload)))
 	}
@@ -212,8 +203,8 @@ func (a *Aggregator) decodeUpload(client uint32, trainSize int, payload []byte) 
 // assigner's signature sketch. Folds run only on the collect goroutine
 // in canonical order; per index the accumulation chain is fixed, so the
 // fold is bitwise reproducible at any GOMAXPROCS.
-func (a *Aggregator) fold(u heteroUpload) {
-	defer a.RoundSpan(a.curRound, "agg.fold").End()
+func (a *Aggregator) fold(round int, u heteroUpload) {
+	defer a.RoundSpan(round, "agg.fold").End()
 	k := int(u.cluster)
 	if a.folded[k] == 0 {
 		for j := range a.acc[k] {
@@ -227,34 +218,11 @@ func (a *Aggregator) fold(u heteroUpload) {
 	foldRanges(a.acc[k], a.wsum[k], u.vals, sl.Ranges, u.w)
 }
 
-// Collect implements algo.Aggregator: decode, validate, and hand the
-// upload to the streaming engine.
-func (a *Aggregator) Collect(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(client, trainSize, payload); ok {
-		a.Ingest(client, u)
-	}
-}
-
-// CollectLate implements algo.Aggregator: a carried-over
-// straggler upload folds at its delivery position, outside the cursor.
-func (a *Aggregator) CollectLate(round int, client uint32, trainSize int, payload []byte) {
-	defer a.RoundSpan(round, "agg.collect").End()
-	a.curRound = round
-	if u, ok := a.decodeUpload(client, trainSize, payload); ok {
-		a.FoldNow(u)
-	}
-}
-
-// FinishRound implements algo.Aggregator: drain the stream, finalize
-// every touched cluster index-wise (indices nobody covered keep the
-// cluster model's previous value), mirror cluster 0 into the Global
-// model, and run the periodic reassignment.
-func (a *Aggregator) FinishRound(round int) {
-	defer a.RoundSpan(round, "agg.reduce").End()
-	a.curRound = round
-	a.FinishStream()
+// finalize runs once the stream has drained: it finalizes every
+// touched cluster index-wise (indices nobody covered keep the cluster
+// model's previous value), mirrors cluster 0 into the Global model, and
+// runs the periodic reassignment.
+func (a *Aggregator) finalize(round int) {
 	for k := 0; k < a.opts.Clusters; k++ {
 		if a.folded[k] == 0 {
 			continue

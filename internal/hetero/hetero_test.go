@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spatl/internal/algo"
 	"spatl/internal/comm"
 	"spatl/internal/data"
 	"spatl/internal/fl"
@@ -293,5 +294,58 @@ func TestWidthSlicedRoundMovesOnlySlice(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("round changed nothing inside the slice")
+	}
+}
+
+// TestCollectBatchMatchesSequential pins the concurrent decode: a
+// 2-cluster, 3-width batch with one corrupt upload mid-batch folds into
+// cluster models bitwise equal to sequential Collect calls, with equal
+// drop counts. The decode runs on the worker pool, so GOMAXPROCS > 1
+// puts several decodes in flight at once (the -race tier checks them).
+func TestCollectBatchMatchesSequential(t *testing.T) {
+	const clients, seed = 7, 17
+	spec := models.Spec{Arch: "resnet20", Classes: 4, InC: 3, H: 8, W: 8, Width: 0.25}
+	opts := Options{Clusters: 2, Widths: []float64{0.25, 0.5, 1.0}}
+	cfg := algo.Config{NumClients: clients, Seed: seed}
+	build := func() *Aggregator { return NewAggregator(models.Build(spec, seed), opts, cfg) }
+
+	ref := build()
+	rng := rand.New(rand.NewSource(seed))
+	ups := make([]algo.Upload, clients)
+	for i := range ups {
+		milli := WidthMilli(opts.WithDefaults().WidthFor(i))
+		sl := ref.Slice(milli)
+		vals := make([]float32, sl.Count())
+		for j := range vals {
+			vals[j] = float32(rng.NormFloat64())
+		}
+		payload := comm.EncodeHeteroUpdate(&comm.HeteroUpdate{
+			Cluster: ref.Assignments()[i], WidthMilli: milli,
+			Sparse: comm.Sparse{Ranges: sl.Ranges, Values: vals}})
+		ups[i] = algo.Upload{Client: uint32(i), TrainSize: 20 + i, Payload: payload}
+	}
+	ups[3].Payload = ups[3].Payload[:9] // corrupt: truncated slice spec
+
+	for _, u := range ups {
+		ref.Collect(0, u.Client, u.TrainSize, u.Payload)
+	}
+	ref.FinishRound(0)
+	if ref.Dropped() != 1 {
+		t.Fatalf("sequential Dropped() = %d, want 1", ref.Dropped())
+	}
+	for _, procs := range []int{1, 2, 3, 4, 7} {
+		prev := runtime.GOMAXPROCS(procs)
+		a := build()
+		a.CollectBatch(0, ups)
+		a.FinishRound(0)
+		runtime.GOMAXPROCS(prev)
+		for k := 0; k < opts.Clusters; k++ {
+			if !bytes.Equal(f32Bytes(a.Model(k)), f32Bytes(ref.Model(k))) {
+				t.Fatalf("GOMAXPROCS=%d: cluster %d differs between batch and sequential collect", procs, k)
+			}
+		}
+		if a.Dropped() != ref.Dropped() {
+			t.Fatalf("GOMAXPROCS=%d: batch Dropped() = %d, sequential %d", procs, a.Dropped(), ref.Dropped())
+		}
 	}
 }

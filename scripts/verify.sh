@@ -114,8 +114,8 @@ for tier in "$@"; do
         go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|MaskStatic|MaskPat' \
             ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
         echo "== hot path: streaming-fold hammer =="
-        go test -race -count=1 -run 'Stream|Staging|Permutation|RoundCanonical' \
-            ./internal/algo ./internal/fl ./internal/flnet
+        go test -race -count=1 -run 'Stream|Staging|Permutation|RoundCanonical|CollectBatch|Drop' \
+            ./internal/algo ./internal/fl ./internal/flnet ./internal/hetero
         echo "== hot path: perfbench suite =="
         (cd perfbench && go test ./...)
         ;;
