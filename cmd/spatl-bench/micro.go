@@ -167,24 +167,18 @@ func spatlRoundBench(b *testing.B) {
 }
 
 // ssflRoundBench measures one steady-state SSFL round — mask already
-// agreed, index ranges already shipped, every wire frame values-only —
-// with the mask-static sparse GEMM dispatch either on (the default) or
-// off (the per-minibatch probing path it replaced). The on/off pair in
-// the report is the direct cost of probing and branch-on-zero per
-// minibatch under a mask that never changes.
-func ssflRoundBench(maskStatic bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		prev := nn.SetMaskStaticDispatch(maskStatic)
-		defer nn.SetMaskStaticDispatch(prev)
-		env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
-		algo := experiments.NewAlgorithm("ssfl", experiments.Tiny, 1)
-		algo.Setup(env)
-		algo.Round(env, 0, env.SampleClients()) // dense mask-agreement round
-		algo.Round(env, 1, env.SampleClients()) // the one index-bearing round
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			algo.Round(env, i+2, env.SampleClients())
-		}
+// agreed, index ranges already shipped, every wire frame values-only.
+// The masked conv weights train through the zero-skipping sparse
+// kernels, so this is the bench that tracks their cost.
+func ssflRoundBench(b *testing.B) {
+	env := experiments.BuildCIFAREnv(experiments.Tiny, "resnet20", experiments.ClientSet{Clients: 4, Ratio: 1}, 1)
+	algo := experiments.NewAlgorithm("ssfl", experiments.Tiny, 1)
+	algo.Setup(env)
+	algo.Round(env, 0, env.SampleClients()) // dense mask-agreement round
+	algo.Round(env, 1, env.SampleClients()) // the one index-bearing round
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		algo.Round(env, i+2, env.SampleClients())
 	}
 }
 
@@ -466,9 +460,8 @@ var microBenchmarks = []struct {
 	{"FLRoundTelemetry", withProcs(1, flRoundTelemetryBench)},
 	{"SPATLRound", withProcs(1, spatlRoundBench)},
 	{"SPATLRoundMP", withProcs(runtime.NumCPU(), spatlRoundBench)},
-	{"SSFLRound", withProcs(1, ssflRoundBench(true))},
-	{"SSFLRoundMP", withProcs(runtime.NumCPU(), ssflRoundBench(true))},
-	{"SSFLRoundProbe", withProcs(1, ssflRoundBench(false))},
+	{"SSFLRound", withProcs(1, ssflRoundBench)},
+	{"SSFLRoundMP", withProcs(runtime.NumCPU(), ssflRoundBench)},
 	{"HeteroRound", withProcs(1, heteroRoundBench)},
 	{"HeteroRoundMP", withProcs(runtime.NumCPU(), heteroRoundBench)},
 	{"AggIngest", func(b *testing.B) {

@@ -10,6 +10,7 @@ import (
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/testutil"
 )
 
 // TestShardRangePartition: the contiguous shard ranges cover [0, total)
@@ -236,7 +237,7 @@ func TestShardedReduceMatchesFlat(t *testing.T) {
 				sel[i] = Upload{Client: u.Client, TrainSize: u.TrainSize}
 			}
 			for _, S := range []int{1, 2, 3, 5, clients, clients + 4} {
-				forEachProcs(t, func(procs int) {
+				testutil.ForEachProcs(t, func(procs int) {
 					sharded := tc.agg()
 					shards := make([]*ShardBuffer, S)
 					for s := range shards {
@@ -306,7 +307,7 @@ func TestCollectBatchMatchesSequential(t *testing.T) {
 			seq.FinishRound(1)
 			wantDrops := seq.(interface{ Dropped() int64 }).Dropped()
 
-			forEachProcs(t, func(procs int) {
+			testutil.ForEachProcs(t, func(procs int) {
 				batch := tc.agg()
 				batch.CollectBatch(1, ups)
 				batch.FinishRound(1)

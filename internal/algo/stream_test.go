@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"spatl/internal/comm"
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/testutil"
 )
 
 // The streaming contract under test: whatever order uploads arrive in —
@@ -291,14 +291,12 @@ func streamPerms(n, extra int) [][]int {
 }
 
 // TestStreamPermutationMatchesSerialRef drives every aggregator family
-// through every arrival permutation at GOMAXPROCS 1 and NumCPU and
+// through every arrival permutation at each forced GOMAXPROCS and
 // demands bitwise identity with the serial StreamFoldRef ground truth.
 func TestStreamPermutationMatchesSerialRef(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, gmp := range []int{1, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(gmp)
+	testutil.ForEachProcs(t, func(procs int) {
 		for _, tc := range streamCases {
-			t.Run(fmt.Sprintf("%s/gomaxprocs=%d", tc.name, gmp), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/gomaxprocs=%d", tc.name, procs), func(t *testing.T) {
 				for pi, perm := range streamPerms(len(streamIDs), 6) {
 					fx := tc.make(1234) // same data for every permutation
 					fx.agg.BeginRound(fx.round, fx.ids)
@@ -313,7 +311,7 @@ func TestStreamPermutationMatchesSerialRef(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // TestStreamPermutationWithAbsentees drops two of six clients — one

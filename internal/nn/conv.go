@@ -28,11 +28,6 @@ type Conv2D struct {
 	// survive across batches until an optimizer step (or any other weight
 	// write) bumps the counter.
 	wpack, wtrans packCache
-	// sparsity caches the sparse-dispatch decision and the exact nonzero
-	// pattern under the same version key, so mask-static sparse weights
-	// (algo.SSFL) skip both the per-minibatch probe and the per-element
-	// zero branches of the GEMM.
-	sparsity sparseCache
 }
 
 // NewConv2D constructs a convolution layer with He-normal initialized
@@ -74,12 +69,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// side by side in one wide (colRows, G·cols) matrix (Im2ColLD), so
 	// each surviving weight's axpy runs over the whole group instead of
 	// one image's columns — the vector kernel amortizes far better on the
-	// deep layers whose per-image column count is tiny. The sparsity
-	// decision (and, mask-static, the exact nonzero pattern) is cached on
-	// the weight version, so frozen or mask-static weights skip the probe
-	// entirely and the GEMM walks precomputed index lists instead of
-	// branching on every element — bitwise identical either way.
-	if sparse, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows); sparse {
+	// deep layers whose per-image column count is tiny. The decision is a
+	// strided sample of W (tensor.IsSparse) taken on every pass, so
+	// masked weights (algo.SSFL) take this path for as long as their
+	// channels stay zeroed.
+	if tensor.IsSparse(c.weight.W.Data) {
 		tensor.Parallel(n, func(lo, hi int) {
 			for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
 				gn := fusedGroup(hi-glo, colRows*cols)
@@ -89,11 +83,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					tensor.Im2ColLD(colB[(i-glo)*cols:], x.Data[i*inStride:(i+1)*inStride], d, wide)
 				}
 				cB := tensor.GetScratch(c.OutC * wide)
-				if pat != nil {
-					tensor.MatMulMaskPatSlice(cB, c.weight.W.Data, colB, pat, wide)
-				} else {
-					tensor.MatMulSparseSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
-				}
+				tensor.MatMulSparseSlice(cB, c.weight.W.Data, colB, c.OutC, colRows, wide)
 				for i := glo; i < glo+gn; i++ {
 					oi := out.Data[i*outStride : (i+1)*outStride]
 					for oc := 0; oc < c.OutC; oc++ {
@@ -238,7 +228,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// order) so its accumulation grouping — and hence rounding — is
 	// untouched. Sparse (pruned) weights skip the transpose cache and run
 	// the zero-skipping Wᵀ·g over the same wide group buffer instead.
-	sparseW, pat := c.sparsity.probe(c.weight.W, c.OutC, colRows)
+	sparseW := tensor.IsSparse(c.weight.W.Data)
 	var wt []float32
 	if !sparseW {
 		wt = c.wtrans.get(c.weight.W, colRows*c.OutC, func(dst []float32) {
@@ -286,11 +276,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 							copy(giB[oc*wide+(i-glo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
 						}
 					}
-					if pat != nil {
-						tensor.MatMulTransAMaskPatSlice(dcolB, c.weight.W.Data, giB, pat, wide)
-					} else {
-						tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
-					}
+					tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
 					tensor.PutScratch(giB)
 				} else {
 					giT := tensor.GetScratch(wide * c.OutC)

@@ -92,21 +92,30 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 // TestConv2DBatchFusedBitwise runs the batch-fused Forward/Backward over
 // geometries with remainder GEMM rows and columns and checks every
 // output, input gradient and parameter gradient bit against the
-// per-image formulation it replaced.
+// per-image formulation it replaced. The channel-masked row zeroes most
+// filter rows, as an SSFL mask does, so both passes take the
+// zero-skipping sparse kernels instead of the packed dense ones.
 func TestConv2DBatchFusedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct {
 		name                          string
 		n, inC, outC, h, w, k, st, pd int
-		bias                          bool
+		bias, masked                  bool
 	}{
-		{"3x3pad1", 5, 3, 8, 9, 7, 3, 1, 1, true},
-		{"stride2oddOutC", 4, 2, 17, 8, 8, 3, 2, 1, false},
-		{"5x5", 3, 1, 16, 11, 5, 5, 1, 2, true},
-		{"singleImage", 1, 4, 6, 6, 6, 3, 1, 1, false},
+		{"3x3pad1", 5, 3, 8, 9, 7, 3, 1, 1, true, false},
+		{"stride2oddOutC", 4, 2, 17, 8, 8, 3, 2, 1, false, false},
+		{"5x5", 3, 1, 16, 11, 5, 5, 1, 2, true, false},
+		{"singleImage", 1, 4, 6, 6, 6, 3, 1, 1, false, false},
+		{"channelMasked", 5, 3, 8, 9, 9, 3, 1, 1, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConv2D("c", tc.inC, tc.outC, tc.k, tc.st, tc.pd, tc.bias, rng)
+			if tc.masked {
+				maskConvWeights(c, 0.7, rng)
+				if !tensor.IsSparse(c.weight.W.Data) {
+					t.Fatal("masked weights do not take the sparse path")
+				}
+			}
 			x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 			x.Randn(rng, 1)
 			wantOut := perImageConvForward(c, x)

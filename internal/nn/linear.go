@@ -19,11 +19,9 @@ type Linear struct {
 
 	// Version-keyed packed panels of W (forward x·Wᵀ) and Wᵀ (backward
 	// dx = dout·W), rebuilt only when the weights change.
+	// Masked weights (algo.SSFL) take the same packed path as dense
+	// ones; their zero entries simply contribute zero terms.
 	wpack, wtpack packCache
-	// sparsity caches the mask-static sparse decision and nonzero pattern
-	// under the same version key: masked weights (algo.SSFL) route both
-	// GEMMs through gather-dot kernels that sum only the surviving terms.
-	sparsity sparseCache
 }
 
 // NewLinear constructs a fully connected layer with He-normal weights and
@@ -44,18 +42,6 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.Reuse(l.out, x.Dim(0), l.Out)
 	l.out = out
 	n := x.Dim(0)
-	if sparse, pat := l.sparsity.probe(l.weight.W, l.Out, l.In); sparse && pat != nil {
-		// Mask-static sparse weights: gather-dot over each output row's
-		// precomputed nonzero positions — no packing, no zero terms.
-		tensor.Parallel(n, func(lo, hi int) {
-			tensor.MatMulTransBMaskPatSlice(out.Data[lo*l.Out:], x.Data[lo*l.In:], l.weight.W.Data, pat, hi-lo)
-		})
-		for i := 0; i < n; i++ {
-			tensor.VecAdd(out.Data[i*l.Out:(i+1)*l.Out], l.bias.W.Data)
-		}
-		l.x = x
-		return out
-	}
 	wp := l.wpack.get(l.weight.W, l.Out*l.In, func(dst []float32) {
 		tensor.PackTransB(dst, l.weight.W.Data, l.Out, l.In)
 	})
@@ -83,14 +69,6 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	dx := tensor.Reuse(l.dx, dout.Dim(0), l.In)
 	l.dx = dx
-	if sparse, pat := l.sparsity.probe(l.weight.W, l.Out, l.In); sparse && pat != nil {
-		// Mask-static sparse weights: dx = dout·W as gather-dots over each
-		// input column's precomputed nonzero rows.
-		tensor.Parallel(n, func(lo, hi int) {
-			tensor.MatMulMaskPatRightSlice(dx.Data[lo*l.In:], dout.Data[lo*l.Out:], l.weight.W.Data, pat, hi-lo)
-		})
-		return dx
-	}
 	if tensor.IsSparse(dout.Data) {
 		// Mirror MatMulInto's sparse-aware dispatch for mostly-zero
 		// gradients; the zero-skipping kernel reads raw W rows.

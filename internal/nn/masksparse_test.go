@@ -3,10 +3,10 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"spatl/internal/tensor"
+	"spatl/internal/testutil"
 )
 
 // maskConvWeights zeroes a fraction of the conv's filter rows (the shape
@@ -33,78 +33,19 @@ func maskConvWeights(c *Conv2D, frac float64, rng *rand.Rand) {
 	c.weight.Bump()
 }
 
-// runMaskedConv runs one forward+backward through a masked conv and
-// returns (out, dx, dW) snapshots.
-func runMaskedConv(t *testing.T, dispatch bool, procs int) (out, dx, dw []float32) {
-	t.Helper()
-	prev := maskStaticDispatch
-	maskStaticDispatch = dispatch
-	defer func() { maskStaticDispatch = prev }()
-	prevProcs := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prevProcs)
-
-	rng := rand.New(rand.NewSource(21))
-	c := NewConv2D("conv", 3, 8, 3, 1, 1, true, rng)
-	maskConvWeights(c, 0.7, rng)
-	x := tensor.New(5, 3, 9, 9)
-	x.Randn(rng, 1)
-	y := c.Forward(x, true)
-	dout := tensor.New(y.Dim(0), y.Dim(1), y.Dim(2), y.Dim(3))
-	dout.Randn(rng, 1)
-	ZeroGrad(c.Params())
-	dxT := c.Backward(dout)
-
-	// Run twice: the second pass must hit the cached pattern (no
-	// version bump in between) and reproduce the first bit for bit.
-	y2 := c.Forward(x, true)
-	for i := range y.Data {
-		if math.Float32bits(y.Data[i]) != math.Float32bits(y2.Data[i]) {
-			t.Fatalf("cached-pattern forward differs from first pass at %d", i)
-		}
-	}
-
-	out = append([]float32(nil), y.Data...)
-	dx = append([]float32(nil), dxT.Data...)
-	dw = append([]float32(nil), c.weight.G.Data...)
-	return out, dx, dw
-}
-
-// TestConvMaskStaticMatchesProbe: with masked weights, the mask-static
-// pattern dispatch must be bitwise identical to the per-minibatch
-// probing dispatch it replaces, at GOMAXPROCS 1 and N.
-func TestConvMaskStaticMatchesProbe(t *testing.T) {
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		wantOut, wantDx, wantDw := runMaskedConv(t, false, procs)
-		gotOut, gotDx, gotDw := runMaskedConv(t, true, procs)
-		for name, pair := range map[string][2][]float32{
-			"out": {gotOut, wantOut}, "dx": {gotDx, wantDx}, "dw": {gotDw, wantDw},
-		} {
-			got, want := pair[0], pair[1]
-			if len(got) != len(want) {
-				t.Fatalf("procs=%d %s: length mismatch", procs, name)
-			}
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("procs=%d %s: index %d differs: %v vs %v", procs, name, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestConvPatternInvalidatesOnBump: mutating the weights must re-derive
-// the pattern — a stale pattern would silently miscompute after an
-// optimizer step un-zeroes or re-zeroes entries.
-func TestConvPatternInvalidatesOnBump(t *testing.T) {
+// TestConvUnmaskTakesEffect: un-masking a filter row and bumping the
+// weights must show up in the next forward pass — no dispatch decision
+// or packed panel may outlive the weights it was derived from.
+func TestConvUnmaskTakesEffect(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	c := NewConv2D("conv", 2, 6, 3, 1, 1, false, rng)
 	maskConvWeights(c, 0.8, rng)
 	x := tensor.New(2, 2, 6, 6)
 	x.Randn(rng, 1)
-	y1 := append([]float32(nil), c.Forward(x, false).Data...)
+	y := c.Forward(x, false)
+	outStride := y.Dim(2) * y.Dim(3)
+	y1 := append([]float32(nil), y.Data...)
 
-	// Flip one masked row back on; without invalidation the pattern
-	// would still skip it.
 	cols := c.weight.W.Dim(1)
 	zeroRow := -1
 	for r := 0; r < c.OutC; r++ {
@@ -123,32 +64,68 @@ func TestConvPatternInvalidatesOnBump(t *testing.T) {
 	if zeroRow < 0 {
 		t.Fatal("no fully masked row to flip")
 	}
+	for _, v := range y1[zeroRow*outStride : (zeroRow+1)*outStride] {
+		if v != 0 {
+			t.Fatalf("masked row %d produced nonzero output %v before the un-mask", zeroRow, v)
+		}
+	}
+
+	// Flip the masked row back on.
 	for j := 0; j < cols; j++ {
 		c.weight.W.Data[zeroRow*cols+j] = 1
 	}
 	c.weight.Bump()
 	y2 := c.Forward(x, false)
 	changed := false
-	outStride := y2.Dim(2) * y2.Dim(3)
-	row := y2.Data[zeroRow*outStride : (zeroRow+1)*outStride]
-	for _, v := range row {
+	for _, v := range y2.Data[zeroRow*outStride : (zeroRow+1)*outStride] {
 		if v != 0 {
 			changed = true
 			break
 		}
 	}
 	if !changed {
-		t.Fatal("un-masking a row produced no output: stale mask pattern survived Bump")
+		t.Fatal("un-masking a row produced no output: stale weights survived Bump")
 	}
-	_ = y1
+}
+
+// refTransBSkipZero is the scalar reference for a masked A·Wᵀ: an
+// ascending-p dot product summing exactly the terms where W's element
+// is nonzero.
+func refTransBSkipZero(c, a, w []float32, m, outs, k int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < outs; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				if w[j*k+p] != 0 {
+					s += a[i*k+p] * w[j*k+p]
+				}
+			}
+			c[i*outs+j] = s
+		}
+	}
+}
+
+// refRightSkipZero is the scalar reference for a masked A·W:
+// ascending-row dot products over W's nonzero column entries.
+func refRightSkipZero(c, a, w []float32, m, ins, k int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < k; j++ {
+			var s float32
+			for p := 0; p < ins; p++ {
+				if w[p*k+j] != 0 {
+					s += a[i*ins+p] * w[p*k+j]
+				}
+			}
+			c[i*k+j] = s
+		}
+	}
 }
 
 // TestLinearMaskStaticMatchesRef: a masked linear layer must produce the
-// tensor-level gather-dot reference results through both forward and
-// backward, at GOMAXPROCS 1 and N.
+// scalar skip-zero reference results through both forward and
+// backward, at every forced GOMAXPROCS.
 func TestLinearMaskStaticMatchesRef(t *testing.T) {
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		prevProcs := runtime.GOMAXPROCS(procs)
+	testutil.ForEachProcs(t, func(procs int) {
 		rng := rand.New(rand.NewSource(23))
 		l := NewLinear("fc", 24, 10, rng)
 		// Mask 60% of weight entries.
@@ -162,9 +139,8 @@ func TestLinearMaskStaticMatchesRef(t *testing.T) {
 		x.Randn(rng, 1)
 		y := l.Forward(x, true)
 
-		pat := tensor.BuildMaskPat(l.weight.W.Data, 10, 24)
 		want := make([]float32, 7*10)
-		tensor.MatMulTransBMaskPatSlice(want, x.Data, l.weight.W.Data, pat, 7)
+		refTransBSkipZero(want, x.Data, l.weight.W.Data, 7, 10, 24)
 		for i := 0; i < 7; i++ {
 			tensor.VecAdd(want[i*10:(i+1)*10], l.bias.W.Data)
 		}
@@ -179,12 +155,11 @@ func TestLinearMaskStaticMatchesRef(t *testing.T) {
 		ZeroGrad(l.Params())
 		dx := l.Backward(dout)
 		wantDx := make([]float32, 7*24)
-		tensor.MatMulMaskPatRightSlice(wantDx, dout.Data, l.weight.W.Data, pat, 7)
+		refRightSkipZero(wantDx, dout.Data, l.weight.W.Data, 7, 10, 24)
 		for i := range wantDx {
 			if math.Float32bits(dx.Data[i]) != math.Float32bits(wantDx[i]) {
 				t.Fatalf("procs=%d: dx index %d differs", procs, i)
 			}
 		}
-		runtime.GOMAXPROCS(prevProcs)
-	}
+	})
 }
