@@ -226,6 +226,30 @@ func BenchmarkConvBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkConvBackwardDeep measures VGG-11's tail convolutions
+// backward: 128→128 3×3 at 2×2 and 1×1, batch 16.
+func BenchmarkConvBackwardDeep(b *testing.B) {
+	rng := nn.Rng(7)
+	var convs []*nn.Conv2D
+	var douts []*tensor.Tensor
+	for _, hw := range []int{2, 1} {
+		conv := nn.NewConv2D("conv", 128, 128, 3, 1, 1, false, rng)
+		x := tensor.New(16, 128, hw, hw)
+		x.Randn(rng, 1)
+		dout := tensor.New(conv.Forward(x, true).Shape()...)
+		dout.Randn(rng, 1)
+		convs = append(convs, conv)
+		douts = append(douts, dout)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, conv := range convs {
+			nn.ZeroGrad(conv.Params())
+			conv.Backward(douts[j])
+		}
+	}
+}
+
 // BenchmarkFLRound measures one full FedAvg communication round at the
 // Tiny scale (4 clients, parallel local updates, real serialization).
 func BenchmarkFLRound(b *testing.B) {

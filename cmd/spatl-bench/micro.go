@@ -198,6 +198,31 @@ func heteroRoundBench(b *testing.B) {
 	}
 }
 
+// convBackwardDeepBench times VGG-11's tail: two 128→128 3×3 convs at
+// 2×2 and 1×1, batch 16, where each image contributes only four or one
+// output positions to the weight gradient.
+func convBackwardDeepBench(b *testing.B) {
+	rng := nn.Rng(7)
+	var convs []*nn.Conv2D
+	var douts []*tensor.Tensor
+	for _, hw := range []int{2, 1} {
+		conv := nn.NewConv2D("conv", 128, 128, 3, 1, 1, false, rng)
+		x := tensor.New(16, 128, hw, hw)
+		x.Randn(rng, 1)
+		dout := tensor.New(conv.Forward(x, true).Shape()...)
+		dout.Randn(rng, 1)
+		convs = append(convs, conv)
+		douts = append(douts, dout)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, conv := range convs {
+			nn.ZeroGrad(conv.Params())
+			conv.Backward(douts[j])
+		}
+	}
+}
+
 // microBenchmarks lists the tracked hot-path workloads, mirroring the
 // definitions in bench_test.go.
 var microBenchmarks = []struct {
@@ -278,6 +303,7 @@ var microBenchmarks = []struct {
 			conv.Backward(dout)
 		}
 	}},
+	{"ConvBackwardDeep", convBackwardDeepBench},
 	{"VecAdd", func(b *testing.B) {
 		dst := microValues(40)
 		src := microValues(41)

@@ -3,12 +3,12 @@ package algo
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"spatl/internal/comm"
 	"spatl/internal/data"
 	"spatl/internal/models"
+	"spatl/internal/testutil"
 )
 
 var ssflSpec = models.Spec{Arch: "resnet20", Classes: 4, InC: 3, H: 8, W: 8, Width: 0.25}
@@ -33,11 +33,10 @@ func agreeSyntheticMask(t *testing.T, agg *SSFLAggregator, clients int, seed int
 }
 
 // TestSSFLPackedReduceMatchesReference: the packed FinishRound reduce
-// must be bitwise identical to the retained dense reference at
-// GOMAXPROCS 1 and N — the mask never participates in FP order.
+// must be bitwise identical to the retained dense reference at every
+// forced GOMAXPROCS — the mask never participates in FP order.
 func TestSSFLPackedReduceMatchesReference(t *testing.T) {
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		prev := runtime.GOMAXPROCS(procs)
+	testutil.ForEachProcs(t, func(procs int) {
 		global := models.Build(ssflSpec, 11)
 		agg := NewSSFLAggregator(global, SSFLOptions{KeepRatio: 0.5}, Config{NumClients: 4})
 		agreeSyntheticMask(t, agg, 4, 17)
@@ -67,8 +66,7 @@ func TestSSFLPackedReduceMatchesReference(t *testing.T) {
 					math.Float32bits(got[j]), math.Float32bits(want[j]))
 			}
 		}
-		runtime.GOMAXPROCS(prev)
-	}
+	})
 }
 
 // TestSSFLAggregatorCountsDrops: malformed score and values-only uploads
@@ -277,26 +275,27 @@ func TestSSFLValuesOnlyBeforeRangesSitsOut(t *testing.T) {
 	}
 }
 
-// TestSSFLDeterministicAcrossGOMAXPROCS: two full federations from the
-// same seed must produce bitwise-identical global models at GOMAXPROCS 1
-// and N — mask agreement, packed reduce, and mask-static local training
-// included.
+// TestSSFLDeterministicAcrossGOMAXPROCS: full federations from the same
+// seed must produce bitwise-identical global models at every forced
+// GOMAXPROCS — mask agreement, packed reduce, and mask-static local
+// training included.
 func TestSSFLDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) []float32 {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
+	var s1 []float32
+	testutil.ForEachProcs(t, func(procs int) {
 		f := newSSFLFixture(31)
 		for r := 0; r < 3; r++ {
 			f.round(t, r)
 		}
-		return f.agg.Global.State(models.ScopeEncoder)
-	}
-	s1 := run(1)
-	sN := run(runtime.NumCPU())
-	for j := range s1 {
-		if math.Float32bits(s1[j]) != math.Float32bits(sN[j]) {
-			t.Fatalf("state[%d] differs across GOMAXPROCS: %x vs %x", j,
-				math.Float32bits(s1[j]), math.Float32bits(sN[j]))
+		sN := f.agg.Global.State(models.ScopeEncoder)
+		if s1 == nil {
+			s1 = sN
+			return
 		}
-	}
+		for j := range s1 {
+			if math.Float32bits(s1[j]) != math.Float32bits(sN[j]) {
+				t.Fatalf("GOMAXPROCS=%d: state[%d] differs across GOMAXPROCS: %x vs %x", procs, j,
+					math.Float32bits(s1[j]), math.Float32bits(sN[j]))
+			}
+		}
+	})
 }

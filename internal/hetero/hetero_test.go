@@ -3,7 +3,6 @@ package hetero
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"spatl/internal/algo"
@@ -12,6 +11,7 @@ import (
 	"spatl/internal/fl"
 	"spatl/internal/models"
 	"spatl/internal/nn"
+	"spatl/internal/testutil"
 )
 
 // testEnv builds a small but real FL environment over the synthetic
@@ -115,20 +115,18 @@ func TestSliceSpecInvariants(t *testing.T) {
 // GOMAXPROCS.
 func TestDegenerateEquivalenceFedAvg(t *testing.T) {
 	const clients, rounds, seed = 4, 3, 21
-	run := func(alg fl.Algorithm, procs int) []float32 {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
+	run := func(alg fl.Algorithm) []float32 {
 		env := testEnv(t, "mlp", 0.5, clients, seed)
 		runRounds(env, alg, rounds)
 		return env.Global.State(models.ScopeAll)
 	}
-	ref := run(&fl.FedAvg{}, runtime.NumCPU())
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		got := run(&FL{Opts: Options{Clusters: 1, Widths: []float64{1}}}, procs)
+	ref := run(&fl.FedAvg{})
+	testutil.ForEachProcs(t, func(procs int) {
+		got := run(&FL{Opts: Options{Clusters: 1, Widths: []float64{1}}})
 		if !bytes.Equal(f32Bytes(got), f32Bytes(ref)) {
 			t.Fatalf("degenerate hetero differs from FedAvg at GOMAXPROCS=%d", procs)
 		}
-	}
+	})
 }
 
 // TestHeteroDeterministicAcrossProcs pins the non-degenerate case: a
@@ -136,26 +134,28 @@ func TestDegenerateEquivalenceFedAvg(t *testing.T) {
 func TestHeteroDeterministicAcrossProcs(t *testing.T) {
 	const clients, rounds, seed = 6, 3, 33
 	opts := Options{Clusters: 2, Widths: []float64{0.25, 0.5, 1.0}, ReassignEvery: 2}
-	run := func(procs int) ([]float32, []uint8) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
+	var s1 []float32
+	var a1 []uint8
+	testutil.ForEachProcs(t, func(procs int) {
 		env := testEnv(t, "resnet20", 0.25, clients, seed)
 		alg := &FL{Opts: opts}
 		runRounds(env, alg, rounds)
-		var state []float32
+		var sN []float32
 		for k := 0; k < opts.Clusters; k++ {
-			state = append(state, alg.Aggregator().Model(k)...)
+			sN = append(sN, alg.Aggregator().Model(k)...)
 		}
-		return state, append([]uint8(nil), alg.Aggregator().Assignments()...)
-	}
-	s1, a1 := run(1)
-	sN, aN := run(runtime.NumCPU())
-	if !bytes.Equal(f32Bytes(s1), f32Bytes(sN)) {
-		t.Fatal("cluster models differ across GOMAXPROCS")
-	}
-	if !bytes.Equal(a1, aN) {
-		t.Fatalf("assignments differ across GOMAXPROCS: %v vs %v", a1, aN)
-	}
+		aN := append([]uint8(nil), alg.Aggregator().Assignments()...)
+		if s1 == nil {
+			s1, a1 = sN, aN
+			return
+		}
+		if !bytes.Equal(f32Bytes(s1), f32Bytes(sN)) {
+			t.Fatalf("GOMAXPROCS=%d: cluster models differ across GOMAXPROCS", procs)
+		}
+		if !bytes.Equal(a1, aN) {
+			t.Fatalf("GOMAXPROCS=%d: assignments differ across GOMAXPROCS: %v vs %v", procs, a1, aN)
+		}
+	})
 }
 
 // TestAssignmentDeterministicAcrossShuffles replays the identical round
@@ -333,12 +333,10 @@ func TestCollectBatchMatchesSequential(t *testing.T) {
 	if ref.Dropped() != 1 {
 		t.Fatalf("sequential Dropped() = %d, want 1", ref.Dropped())
 	}
-	for _, procs := range []int{1, 2, 3, 4, 7} {
-		prev := runtime.GOMAXPROCS(procs)
+	testutil.ForEachProcs(t, func(procs int) {
 		a := build()
 		a.CollectBatch(0, ups)
 		a.FinishRound(0)
-		runtime.GOMAXPROCS(prev)
 		for k := 0; k < opts.Clusters; k++ {
 			if !bytes.Equal(f32Bytes(a.Model(k)), f32Bytes(ref.Model(k))) {
 				t.Fatalf("GOMAXPROCS=%d: cluster %d differs between batch and sequential collect", procs, k)
@@ -347,5 +345,5 @@ func TestCollectBatchMatchesSequential(t *testing.T) {
 		if a.Dropped() != ref.Dropped() {
 			t.Fatalf("GOMAXPROCS=%d: batch Dropped() = %d, sequential %d", procs, a.Dropped(), ref.Dropped())
 		}
-	}
+	})
 }

@@ -3,15 +3,17 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"spatl/internal/tensor"
 )
 
 // Conv2D is a 2D convolution with square kernels, shared stride/padding on
-// both axes and optional bias. Forward lowers each image to a column
-// matrix (im2col) and multiplies by the filter matrix; backward recomputes
-// the columns rather than caching them, trading FLOPs for memory.
+// both axes and optional bias. Both passes lower groups of images to one
+// column matrix (im2col) and run one GEMM per group against the filter
+// matrix; backward recomputes the lowering rather than caching it, trading
+// FLOPs for memory. Every output and gradient bit depends on the batch
+// alone, never on GOMAXPROCS: parallel work is split only over disjoint
+// outputs, and the weight gradient is summed in image order.
 type Conv2D struct {
 	name                      string
 	InC, OutC, K, Stride, Pad int
@@ -129,7 +131,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					tensor.Im2ColPatch(colB[(i-glo)*cols*colRows:], x.Data[i*inStride:(i+1)*inStride], d)
 				}
 				t := tensor.GetScratch(gn * cols * c.OutC)
-				tensor.MatMulTransBPackedSlice(t, colB, wp, gn*cols, colRows, c.OutC, false)
+				tensor.MatMulTransBPackedSlice(t, colB, wp, gn*cols, colRows, c.OutC)
 				// t is patch-major (G·cols, OutC); transpose each image's block
 				// back to the (OutC, cols) activation layout, then add bias.
 				for i := glo; i < glo+gn; i++ {
@@ -202,7 +204,23 @@ func fusedGroup(n, perImage int) int {
 	return g
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The batch is processed in image groups
+// (fusedGroup), each in two parallel steps:
+//
+//  1. Image-parallel: lower each image patch-major (Im2ColPatch, the
+//     forward lowering) into one (G·cols, colRows) buffer, lay its output
+//     gradients channel-major into one (OutC, G·cols) buffer, and form
+//     the chunk's dx: dcol = Wᵀ·g through the cached Wᵀ (or the
+//     zero-skipping Wᵀ·g for pruned weights), scattered by Col2ImLD.
+//     Chunk boundaries only move GEMM call boundaries; every dx element
+//     is the same ascending-OutC chain.
+//  2. Output-parallel: dW += Σᵢ gᵢ·colᵢᵀ as one segmented-k GEMM
+//     (tensor.MatMulSegAccSlice) whose segments are the group's images,
+//     and db += per-image float64 sums in image order.
+//
+// The dW and db totals run across groups from zero and are added to the
+// parameter gradients once, so every gradient bit is a function of the
+// batch alone, whatever GOMAXPROCS is.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	x := c.x
 	if x == nil {
@@ -218,16 +236,6 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.Reuse(c.dx, n, c.InC, h, w)
 	c.dx = dx
 
-	// dx = col2im(Wᵀ · g) is batch-fused like the forward pass: per image
-	// group, the output gradients are transposed patch-major into one wide
-	// (G·cols, OutC) matrix, a single GEMM forms the lowered input
-	// gradient dcolB = Wᵀ · gᵀ for the whole group, and Col2ImLD scatters
-	// each image's slice straight out of the wide buffer. The cached Wᵀ
-	// replaces the per-image transpose MatMulTransASlice used to build.
-	// dW stays per-image (dot-then-add per image, shards merged in fixed
-	// order) so its accumulation grouping — and hence rounding — is
-	// untouched. Sparse (pruned) weights skip the transpose cache and run
-	// the zero-skipping Wᵀ·g over the same wide group buffer instead.
 	sparseW := tensor.IsSparse(c.weight.W.Data)
 	var wt []float32
 	if !sparseW {
@@ -235,106 +243,75 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			tensor.TransposeSlice(dst, c.weight.W.Data, c.OutC, colRows)
 		})
 	}
-
-	// Shard the batch; each shard accumulates its own dW (and db) in
-	// scratch buffers, then shards are summed in fixed order so results
-	// are deterministic for a fixed shard count.
-	type shard struct {
-		dw []float32
-		db []float64
+	dw := tensor.GetScratch(c.OutC * colRows)
+	clear(dw)
+	var db []float64
+	if c.useBias {
+		db = make([]float64, c.OutC)
 	}
-	nw := parallelShards(n)
-	shards := make([]shard, nw)
-	chunk := (n + nw - 1) / nw
-	tensor.Parallel(nw, func(slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			sh := shard{dw: tensor.GetScratch(c.OutC * colRows)}
-			for i := range sh.dw {
-				sh.dw[i] = 0
-			}
-			if c.useBias {
-				sh.db = make([]float64, c.OutC)
-			}
-			col := tensor.GetScratch(colRows * cols)
-			for glo := lo; glo < hi; glo += fusedGroup(hi-glo, colRows*cols) {
-				gn := fusedGroup(hi-glo, colRows*cols)
-				wide := gn * cols
-				dcolB := tensor.GetScratch(colRows * wide)
+	for glo := 0; glo < n; glo += fusedGroup(n-glo, colRows*cols) {
+		gn := fusedGroup(n-glo, colRows*cols)
+		wide := gn * cols
+		colB := tensor.GetScratch(wide * colRows)
+		gB := tensor.GetScratch(c.OutC * wide)
+		tensor.Parallel(gn, func(lo, hi int) {
+			cw := (hi - lo) * cols
+			// gC holds the chunk's output gradients in the layout its dx
+			// GEMM reads: channel-major for the sparse kernel, patch-major
+			// for the dense one.
+			gC := tensor.GetScratch(c.OutC * cw)
+			for i := lo; i < hi; i++ {
+				tensor.Im2ColPatch(colB[i*cols*colRows:], x.Data[(glo+i)*inStride:][:inStride], d)
+				gi := dout.Data[(glo+i)*outStride:][:outStride]
+				for oc := 0; oc < c.OutC; oc++ {
+					copy(gB[oc*wide+i*cols:][:cols], gi[oc*cols:(oc+1)*cols])
+				}
 				if sparseW {
-					// Sparse weights: lay the group's output gradients side
-					// by side channel-major (no transpose needed) and run
-					// the zero-skipping Wᵀ·g once over the whole group, so
-					// each surviving weight's axpy spans G·cols columns.
-					giB := tensor.GetScratch(c.OutC * wide)
-					for i := glo; i < glo+gn; i++ {
-						gi := dout.Data[i*outStride : (i+1)*outStride]
-						for oc := 0; oc < c.OutC; oc++ {
-							copy(giB[oc*wide+(i-glo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
-						}
+					for oc := 0; oc < c.OutC; oc++ {
+						copy(gC[oc*cw+(i-lo)*cols:][:cols], gi[oc*cols:(oc+1)*cols])
 					}
-					tensor.MatMulTransASparseSlice(dcolB, c.weight.W.Data, giB, colRows, c.OutC, wide)
-					tensor.PutScratch(giB)
 				} else {
-					giT := tensor.GetScratch(wide * c.OutC)
-					for i := glo; i < glo+gn; i++ {
-						tensor.TransposeSlice(giT[(i-glo)*cols*c.OutC:][:cols*c.OutC],
-							dout.Data[i*outStride:(i+1)*outStride], c.OutC, cols)
-					}
-					// dcolB[r][i·cols+j] = dot(Wᵀ row r, gᵀ patch row) — the
-					// same ascending-OutC chain as the per-image Wᵀ·g.
-					tensor.MatMulTransBSlice(dcolB, wt, giT, colRows, c.OutC, wide)
-					tensor.PutScratch(giT)
+					tensor.TransposeSlice(gC[(i-lo)*cols*c.OutC:][:cols*c.OutC], gi, c.OutC, cols)
 				}
-				for i := glo; i < glo+gn; i++ {
-					tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
-					gi := dout.Data[i*outStride : (i+1)*outStride]
-					// dW += gi · colᵀ, accumulated straight into the shard
-					// buffer (each dot product is still formed in ascending-k
-					// order before the single add, matching the old
-					// materialize-then-add rounding).
-					tensor.MatMulTransBAccSlice(sh.dw, gi, col, c.OutC, cols, colRows)
-					// Col2ImLD accumulates, so the reused image slice is
-					// zeroed first.
-					dxi := dx.Data[i*inStride : (i+1)*inStride]
-					for j := range dxi {
-						dxi[j] = 0
-					}
-					tensor.Col2ImLD(dxi, dcolB[(i-glo)*cols:], d, wide)
-					if c.useBias {
-						for oc := 0; oc < c.OutC; oc++ {
-							var s float64
-							row := gi[oc*cols : (oc+1)*cols]
-							for _, v := range row {
-								s += float64(v)
-							}
-							sh.db[oc] += s
-						}
-					}
-				}
-				tensor.PutScratch(dcolB)
 			}
-			tensor.PutScratch(col)
-			shards[s] = sh
-		}
-	})
-	for _, sh := range shards {
-		if sh.dw == nil {
-			continue
-		}
-		g := c.weight.G.Data
-		for i, v := range sh.dw {
-			g[i] += v
-		}
-		tensor.PutScratch(sh.dw)
+			dcol := tensor.GetScratch(colRows * cw)
+			if sparseW {
+				tensor.MatMulTransASparseSlice(dcol, c.weight.W.Data, gC, colRows, c.OutC, cw)
+			} else {
+				tensor.MatMulTransBSlice(dcol, wt, gC, colRows, c.OutC, cw)
+			}
+			for i := lo; i < hi; i++ {
+				// Col2ImLD accumulates, so the reused image slice is zeroed
+				// first.
+				dxi := dx.Data[(glo+i)*inStride:][:inStride]
+				clear(dxi)
+				tensor.Col2ImLD(dxi, dcol[(i-lo)*cols:], d, cw)
+			}
+			tensor.PutScratch(dcol)
+			tensor.PutScratch(gC)
+		})
+		tensor.MatMulSegAccSlice(dw, gB, colB, c.OutC, wide, colRows, cols)
 		if c.useBias {
-			for oc, v := range sh.db {
-				c.bias.G.Data[oc] += float32(v)
-			}
+			tensor.Parallel(c.OutC, func(lo, hi int) {
+				for oc := lo; oc < hi; oc++ {
+					row := gB[oc*wide : (oc+1)*wide]
+					for i := 0; i < gn; i++ {
+						var s float64
+						for _, v := range row[i*cols : (i+1)*cols] {
+							s += float64(v)
+						}
+						db[oc] += s
+					}
+				}
+			})
 		}
+		tensor.PutScratch(gB)
+		tensor.PutScratch(colB)
+	}
+	tensor.VecAdd(c.weight.G.Data, dw)
+	tensor.PutScratch(dw)
+	for oc, v := range db {
+		c.bias.G.Data[oc] += float32(v)
 	}
 	return dx
 }
@@ -370,18 +347,3 @@ func (c *Conv2D) Weight() *Param { return c.weight }
 
 // OutDims returns the cached convolution geometry (valid after Forward).
 func (c *Conv2D) OutDims() (tensor.ConvDims, bool) { return c.dims, c.haveDims }
-
-// parallelShards picks a shard count for deterministic batched gradient
-// accumulation: one shard per available core, but never more shards than
-// images so small batches are not over-sharded. Results are deterministic
-// for a fixed GOMAXPROCS (shard boundaries fix the summation grouping).
-func parallelShards(n int) int {
-	p := runtime.GOMAXPROCS(0)
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}

@@ -1,11 +1,13 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"spatl/internal/tensor"
+	"spatl/internal/testutil"
 )
 
 // perImageConvForward is the pre-fusion dense forward formulation: one
@@ -38,10 +40,13 @@ func perImageConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// perImageConvBackward is the pre-fusion dense backward formulation:
-// per-image dW/db accumulation into per-shard buffers merged in fixed
-// order, and per-image Wᵀ·g + col2im for dx. Shard boundaries replicate
-// Conv2D.Backward's, so the comparison is bitwise.
+// perImageConvBackward is the per-image backward formulation as one
+// chain in image order: each image's dW product is a fresh ascending-k
+// dot over its output positions, added to one running total that starts
+// at zero; db sums each image's gradients in float64 and adds them in
+// image order; dx is a per-image Wᵀ·g plus col2im. The totals are added
+// to zeroed gradients once. Conv2D.Backward must reproduce every bit at
+// any GOMAXPROCS.
 func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor, dw []float32, db []float32) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	d := tensor.NewConvDims(c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad)
@@ -52,39 +57,40 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 	dx = tensor.New(n, c.InC, h, w)
 	dw = make([]float32, c.OutC*colRows)
 	db = make([]float32, c.OutC)
-	nw := parallelShards(n)
-	chunk := (n + nw - 1) / nw
 	col := make([]float32, colRows*cols)
 	dcol := make([]float32, colRows*cols)
-	for s := 0; s < nw; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		sdw := make([]float32, c.OutC*colRows)
-		sdb := make([]float64, c.OutC)
-		for i := lo; i < hi; i++ {
-			tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
-			gi := dout.Data[i*outStride : (i+1)*outStride]
-			tensor.MatMulTransBAccSlice(sdw, gi, col, c.OutC, cols, colRows)
-			tensor.MatMulTransASlice(dcol, c.weight.W.Data, gi, colRows, c.OutC, cols)
-			tensor.Col2Im(dx.Data[i*inStride:(i+1)*inStride], dcol, d)
-			if c.useBias {
-				for oc := 0; oc < c.OutC; oc++ {
-					var sum float64
-					for _, v := range gi[oc*cols : (oc+1)*cols] {
-						sum += float64(v)
-					}
-					sdb[oc] += sum
+	sdw := make([]float32, c.OutC*colRows)
+	sdb := make([]float64, c.OutC)
+	for i := 0; i < n; i++ {
+		tensor.Im2Col(col, x.Data[i*inStride:(i+1)*inStride], d)
+		gi := dout.Data[i*outStride : (i+1)*outStride]
+		for oc := 0; oc < c.OutC; oc++ {
+			g := gi[oc*cols : (oc+1)*cols]
+			for r := 0; r < colRows; r++ {
+				var s float32
+				for j, v := range g {
+					s += v * col[r*cols+j]
 				}
+				sdw[oc*colRows+r] += s
 			}
 		}
-		for i, v := range sdw {
-			dw[i] += v
+		tensor.MatMulTransASlice(dcol, c.weight.W.Data, gi, colRows, c.OutC, cols)
+		tensor.Col2Im(dx.Data[i*inStride:(i+1)*inStride], dcol, d)
+		if c.useBias {
+			for oc := 0; oc < c.OutC; oc++ {
+				var sum float64
+				for _, v := range gi[oc*cols : (oc+1)*cols] {
+					sum += float64(v)
+				}
+				sdb[oc] += sum
+			}
 		}
-		for oc, v := range sdb {
-			db[oc] += float32(v)
-		}
+	}
+	for i, v := range sdw {
+		dw[i] += v
+	}
+	for oc, v := range sdb {
+		db[oc] += float32(v)
 	}
 	return dx, dw, db
 }
@@ -92,9 +98,14 @@ func perImageConvBackward(c *Conv2D, x, dout *tensor.Tensor) (dx *tensor.Tensor,
 // TestConv2DBatchFusedBitwise runs the batch-fused Forward/Backward over
 // geometries with remainder GEMM rows and columns and checks every
 // output, input gradient and parameter gradient bit against the
-// per-image formulation it replaced. The channel-masked row zeroes most
-// filter rows, as an SSFL mask does, so both passes take the
-// zero-skipping sparse kernels instead of the packed dense ones.
+// per-image formulation, at each forced GOMAXPROCS. The channel-masked
+// row zeroes most filter rows, as an SSFL mask does, so both passes take
+// the zero-skipping sparse kernels instead of the packed dense ones. The
+// 1×1 and 2×2 rows are VGG-11's tail, where each image contributes one
+// or four output positions to the weight gradient; colRows27 has
+// colRows and OutC off the 16- and 4-wide tiles; twoGroups is large
+// enough that fusedGroup splits the batch, so the gradient totals must
+// carry across groups.
 func TestConv2DBatchFusedBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct {
@@ -107,6 +118,10 @@ func TestConv2DBatchFusedBitwise(t *testing.T) {
 		{"5x5", 3, 1, 16, 11, 5, 5, 1, 2, true, false},
 		{"singleImage", 1, 4, 6, 6, 6, 3, 1, 1, false, false},
 		{"channelMasked", 5, 3, 8, 9, 9, 3, 1, 1, true, true},
+		{"vggTail1x1", 16, 16, 20, 1, 1, 3, 1, 1, true, false},
+		{"vggTail2x2", 16, 16, 20, 2, 2, 3, 1, 1, false, false},
+		{"colRows27", 6, 3, 10, 7, 7, 3, 1, 1, true, false},
+		{"twoGroups", 20, 16, 6, 24, 24, 5, 1, 2, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewConv2D("c", tc.inC, tc.outC, tc.k, tc.st, tc.pd, tc.bias, rng)
@@ -119,19 +134,20 @@ func TestConv2DBatchFusedBitwise(t *testing.T) {
 			x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 			x.Randn(rng, 1)
 			wantOut := perImageConvForward(c, x)
-			gotOut := c.Forward(x, true)
-			compareBits(t, "forward", gotOut.Data, wantOut.Data)
-
-			dout := tensor.New(gotOut.Shape()...)
+			dout := tensor.New(wantOut.Shape()...)
 			dout.Randn(rng, 1)
 			wantDx, wantDw, wantDb := perImageConvBackward(c, x, dout)
-			ZeroGrad(c.Params())
-			gotDx := c.Backward(dout)
-			compareBits(t, "dx", gotDx.Data, wantDx.Data)
-			compareBits(t, "dW", c.weight.G.Data, wantDw)
-			if tc.bias {
-				compareBits(t, "db", c.bias.G.Data, wantDb)
-			}
+			testutil.ForEachProcs(t, func(procs int) {
+				gotOut := c.Forward(x, true)
+				compareBits(t, fmt.Sprintf("GOMAXPROCS=%d forward", procs), gotOut.Data, wantOut.Data)
+				ZeroGrad(c.Params())
+				gotDx := c.Backward(dout)
+				compareBits(t, fmt.Sprintf("GOMAXPROCS=%d dx", procs), gotDx.Data, wantDx.Data)
+				compareBits(t, fmt.Sprintf("GOMAXPROCS=%d dW", procs), c.weight.G.Data, wantDw)
+				if tc.bias {
+					compareBits(t, fmt.Sprintf("GOMAXPROCS=%d db", procs), c.bias.G.Data, wantDb)
+				}
+			})
 
 			// Mutating the weights must invalidate the packed panels: a
 			// second Forward has to match a fresh reference of the new

@@ -69,10 +69,10 @@ func MatMulInto(c, a, b *Tensor) {
 	TransposeSlice(bt, b.Data, k, n)
 	if m*n >= parallelThreshold && m > 1 {
 		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, a.Data, bt, lo, hi, k, n, false)
+			matmulTransBRows(c.Data, a.Data, bt, lo, hi, k, n)
 		})
 	} else {
-		matmulTransBRows(c.Data, a.Data, bt, 0, m, k, n, false)
+		matmulTransBRows(c.Data, a.Data, bt, 0, m, k, n)
 	}
 	PutScratch(bt)
 }
@@ -94,7 +94,7 @@ func MatMulSlice(c, a, b []float32, m, k, n int) {
 	}
 	bt := GetScratch(n * k)
 	TransposeSlice(bt, b, k, n)
-	matmulTransBRows(c, a, bt, 0, m, k, n, false)
+	matmulTransBRows(c, a, bt, 0, m, k, n)
 	PutScratch(bt)
 }
 
@@ -289,26 +289,90 @@ func MatMulTransBInto(c, a, b *Tensor) {
 	}
 	if m*n >= parallelThreshold && m > 1 {
 		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, a.Data, b.Data, lo, hi, k, n, false)
+			matmulTransBRows(c.Data, a.Data, b.Data, lo, hi, k, n)
 		})
 		return
 	}
-	matmulTransBRows(c.Data, a.Data, b.Data, 0, m, k, n, false)
+	matmulTransBRows(c.Data, a.Data, b.Data, 0, m, k, n)
 }
 
 // MatMulTransBSlice computes C = A·Bᵀ on raw slices (A (m,k), B (n,k),
 // C (m,n) overwritten), serial, without shape checks.
 func MatMulTransBSlice(c, a, b []float32, m, k, n int) {
-	matmulTransBRows(c, a, b, 0, m, k, n, false)
+	matmulTransBRows(c, a, b, 0, m, k, n)
 }
 
-// MatMulTransBAccSlice computes C += A·Bᵀ on raw slices: each dot product
-// is formed in a register in ascending-k order and then added once to the
-// existing C element, so the result is bitwise identical to computing the
-// product into a temporary and adding it. This is the gradient-accumulation
-// kernel for dW += dOut·colᵀ in convolution backward.
-func MatMulTransBAccSlice(c, a, b []float32, m, k, n int) {
-	matmulTransBRows(c, a, b, 0, m, k, n, true)
+// MatMulSegAccSlice computes C += A·B where A is row-major (m,k), B is
+// row-major (k,n), C is (m,n) and k is split into k/seg consecutive
+// segments. Each segment's dot product is formed from zero in
+// ascending-k order and then added to the running C element, segment
+// by segment in ascending order:
+//
+//	C[i][j] = ((C[i][j] + Σ_{p∈seg 0} A[i][p]·B[p][j]) + Σ_{p∈seg 1} …) + …
+//
+// This is the convolution weight-gradient reduction dW += Σᵢ gᵢ·colᵢᵀ
+// over a group of images: A holds the group's output gradients
+// channel-major with one seg-wide block per image, B is the patch-major
+// lowering read in place, and each image's product joins the running
+// total in image order. Output columns are split over the worker pool in
+// 16-wide panels, each owned by one goroutine, so the result depends on
+// the operands alone and never on GOMAXPROCS.
+func MatMulSegAccSlice(c, a, b []float32, m, k, n, seg int) {
+	if seg <= 0 || k%seg != 0 {
+		panic(fmt.Sprintf("tensor: MatMulSegAccSlice segment %d does not divide k=%d", seg, k))
+	}
+	Parallel((n+15)/16, func(lo, hi int) {
+		jhi := hi * 16
+		if jhi > n {
+			jhi = n
+		}
+		if useAVX2 {
+			matmulSegAccAVX2(c, a, b, m, k, n, seg, lo*16, jhi)
+			return
+		}
+		matmulSegAccScalar(c, a, b, 0, m, k, n, seg, lo*16, jhi)
+	})
+}
+
+// segBlockK bounds how many k rows of one 16-column B panel the AVX2
+// segmented tile reads in one pass over the 4-row tiles of A (~64 KiB),
+// so the panel stays cache-resident while every tile streams against it.
+// Blocks hold whole segments and run in ascending order, so blocking never
+// reorders an accumulation chain.
+const segBlockK = 1024
+
+// matmulSegAccScalar computes rows [ilo,ihi) and columns [jlo,jhi) of
+// MatMulSegAccSlice in pure Go. It is the fallback and the reference for
+// the AVX2 tile: each segment's partials are built in a 16-wide row, one
+// ascending-k chain per column, and then added to C.
+func matmulSegAccScalar(c, a, b []float32, ilo, ihi, k, n, seg, jlo, jhi int) {
+	var part [16]float32
+	for j0 := jlo; j0 < jhi; j0 += 16 {
+		j1 := j0 + 16
+		if j1 > jhi {
+			j1 = jhi
+		}
+		pt := part[:j1-j0]
+		for i := ilo; i < ihi; i++ {
+			ai := a[i*k : i*k+k]
+			ci := c[i*n+j0 : i*n+j1]
+			for s := 0; s < k; s += seg {
+				for j := range pt {
+					pt[j] = 0
+				}
+				for p := s; p < s+seg; p++ {
+					av := ai[p]
+					bp := b[p*n+j0 : p*n+j1]
+					for j, bv := range bp {
+						pt[j] += av * bv
+					}
+				}
+				for j, v := range pt {
+					ci[j] += v
+				}
+			}
+		}
+	}
 }
 
 // jcPanel is the column-panel width of the dot kernel: B rows are consumed
@@ -317,35 +381,35 @@ func MatMulTransBAccSlice(c, a, b []float32, m, k, n int) {
 // from L2 once per row pair.
 const jcPanel = 32
 
-// matmulTransBRows computes rows [lo,hi) of C = A·Bᵀ (or C += A·Bᵀ when
-// acc). On CPUs with AVX2 it dispatches to the vector tile kernel; both
-// paths form each output as one ascending-k dot-product chain, so the
-// choice never changes a single bit of the result. The scalar path uses a
+// matmulTransBRows computes rows [lo,hi) of C = A·Bᵀ. On CPUs with AVX2
+// it dispatches to the vector tile kernel; both paths form each output as
+// one ascending-k dot-product chain, so the choice never changes a single
+// bit of the result. The scalar path uses a
 // 2×4 register tile: two rows of A against four rows of B give eight
 // independent dot-product accumulators per pass, amortizing every operand
 // load across multiple FMAs.
-func matmulTransBRows(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	if useAVX2 && n >= 16 && hi-lo >= 4 && k >= 4 {
-		matmulTransBRowsAVX2(c, a, b, lo, hi, k, n, acc)
+func matmulTransBRows(c, a, b []float32, lo, hi, k, n int) {
+	if useAVX2 && hi-lo >= 4 && k >= 4 {
+		matmulTransBRowsAVX2(c, a, b, lo, hi, k, n)
 		return
 	}
-	matmulTransBRowsScalar(c, a, b, lo, hi, k, n, acc)
+	matmulTransBRowsScalar(c, a, b, lo, hi, k, n)
 }
 
 // matmulTransBRowsScalar is the portable panel loop behind matmulTransBRows.
-func matmulTransBRowsScalar(c, a, b []float32, lo, hi, k, n int, acc bool) {
+func matmulTransBRowsScalar(c, a, b []float32, lo, hi, k, n int) {
 	for jj := 0; jj < n; jj += jcPanel {
 		jhi := jj + jcPanel
 		if jhi > n {
 			jhi = n
 		}
-		matmulTransBRowsPanel(c, a, b, lo, hi, jj, jhi, k, n, acc)
+		matmulTransBRowsPanel(c, a, b, lo, hi, jj, jhi, k, n)
 	}
 }
 
 // matmulTransBRowsPanel is the register-tiled core of matmulTransBRows for
 // output columns [jlo,jhi).
-func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int, acc bool) {
+func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		a0 := a[(i+0)*k : (i+0)*k+k]
@@ -373,19 +437,8 @@ func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int, acc bo
 				s12 += v1 * w2
 				s13 += v1 * w3
 			}
-			if acc {
-				c0[j] += s00
-				c0[j+1] += s01
-				c0[j+2] += s02
-				c0[j+3] += s03
-				c1[j] += s10
-				c1[j+1] += s11
-				c1[j+2] += s12
-				c1[j+3] += s13
-			} else {
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			}
+			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
+			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
 		}
 		for ; j < jhi; j++ {
 			bj := b[j*k : j*k+k]
@@ -396,13 +449,8 @@ func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int, acc bo
 				s0 += a0[p] * bv
 				s1 += a1[p] * bv
 			}
-			if acc {
-				c0[j] += s0
-				c1[j] += s1
-			} else {
-				c0[j] = s0
-				c1[j] = s1
-			}
+			c0[j] = s0
+			c1[j] = s1
 		}
 	}
 	for ; i < hi; i++ {
@@ -415,11 +463,7 @@ func matmulTransBRowsPanel(c, a, b []float32, lo, hi, jlo, jhi, k, n int, acc bo
 			for p, bv := range bj {
 				s += ai[p] * bv
 			}
-			if acc {
-				ci[j] += s
-			} else {
-				ci[j] = s
-			}
+			ci[j] = s
 		}
 	}
 }
@@ -464,10 +508,10 @@ func MatMulTransAInto(c, a, b *Tensor) {
 	TransposeSlice(bt, b.Data, k, n)
 	if m*n >= parallelThreshold && m > 1 {
 		Parallel(m, func(lo, hi int) {
-			matmulTransBRows(c.Data, at, bt, lo, hi, k, n, false)
+			matmulTransBRows(c.Data, at, bt, lo, hi, k, n)
 		})
 	} else {
-		matmulTransBRows(c.Data, at, bt, 0, m, k, n, false)
+		matmulTransBRows(c.Data, at, bt, 0, m, k, n)
 	}
 	PutScratch(bt)
 	PutScratch(at)
@@ -489,7 +533,7 @@ func MatMulTransASlice(c, a, b []float32, m, k, n int) {
 	TransposeSlice(at, a, k, m)
 	bt := GetScratch(n * k)
 	TransposeSlice(bt, b, k, n)
-	matmulTransBRows(c, at, bt, 0, m, k, n, false)
+	matmulTransBRows(c, at, bt, 0, m, k, n)
 	PutScratch(bt)
 	PutScratch(at)
 }

@@ -53,13 +53,12 @@ func PackTransB(dst, b []float32, n, k int) {
 	}
 }
 
-// MatMulTransBPackedSlice computes C = A·Bᵀ (C += A·Bᵀ when acc) where bp
-// is the PackTransB image of B (n rows × k cols). A is (m,k) row-major,
-// C is (m,n). Bitwise identical to MatMulTransBSlice on the unpacked B:
-// every output element is one ascending-k dot-product chain with separate
-// multiply and add.
-func MatMulTransBPackedSlice(c, a, bp []float32, m, k, n int, acc bool) {
-	matmulTransBPackedRows(c, a, bp, 0, m, k, n, acc)
+// MatMulTransBPackedSlice computes C = A·Bᵀ where bp is the PackTransB
+// image of B (n rows × k cols). A is (m,k) row-major, C is (m,n). Bitwise
+// identical to MatMulTransBSlice on the unpacked B: every output element
+// is one ascending-k dot-product chain with separate multiply and add.
+func MatMulTransBPackedSlice(c, a, bp []float32, m, k, n int) {
+	matmulTransBPackedRows(c, a, bp, 0, m, k, n)
 }
 
 // MatMulTransBPackedParallel computes C = A·Bᵀ from the packed image of
@@ -69,18 +68,18 @@ func MatMulTransBPackedSlice(c, a, bp []float32, m, k, n int, acc bool) {
 func MatMulTransBPackedParallel(c, a, bp []float32, m, k, n int) {
 	if m*n >= parallelThreshold && m > 1 {
 		Parallel(m, func(lo, hi int) {
-			matmulTransBPackedRows(c, a, bp, lo, hi, k, n, false)
+			matmulTransBPackedRows(c, a, bp, lo, hi, k, n)
 		})
 		return
 	}
-	matmulTransBPackedRows(c, a, bp, 0, m, k, n, false)
+	matmulTransBPackedRows(c, a, bp, 0, m, k, n)
 }
 
 // matmulTransBPackedRows is the row-window core behind the packed entry
 // point, usable inside Parallel row shards.
-func matmulTransBPackedRows(c, a, bp []float32, lo, hi, k, n int, acc bool) {
+func matmulTransBPackedRows(c, a, bp []float32, lo, hi, k, n int) {
 	if !packedTransBWants(n, k) {
-		matmulTransBRowsScalar(c, a, bp, lo, hi, k, n, acc)
+		matmulTransBRowsScalar(c, a, bp, lo, hi, k, n)
 		return
 	}
 	var out [64]float32
@@ -91,32 +90,24 @@ func matmulTransBPackedRows(c, a, bp []float32, lo, hi, k, n int, acc bool) {
 		for ; i+4 <= hi; i += 4 {
 			avx2DotPanel4x16(&a[i*k], k, &seg[0], k, &out[0])
 			for r := 0; r < 4; r++ {
-				crow := c[(i+r)*n+jj : (i+r)*n+jj+16]
-				or := out[r*16 : r*16+16]
-				if acc {
-					for j2, v := range or {
-						crow[j2] += v
-					}
-				} else {
-					copy(crow, or)
-				}
+				copy(c[(i+r)*n+jj:(i+r)*n+jj+16], out[r*16:r*16+16])
 			}
 		}
 		if i < hi {
-			packedPanelScalar(c, a, seg, i, hi, jj, k, n, acc)
+			packedPanelScalar(c, a, seg, i, hi, jj, k, n)
 		}
 	}
 	if jj < n {
 		// Remainder rows sit row-major at their original offsets, so the
 		// plain scalar panel kernel applies unchanged.
-		matmulTransBRowsPanel(c, a, bp, lo, hi, jj, n, k, n, acc)
+		matmulTransBRowsPanel(c, a, bp, lo, hi, jj, n, k, n)
 	}
 }
 
 // packedPanelScalar handles remainder A rows against one interleaved
 // 16-row panel: the dot product reads bp with stride 16 but still runs in
 // ascending-k order, so it matches the vector tile bit for bit.
-func packedPanelScalar(c, a, seg []float32, lo, hi, jj, k, n int, acc bool) {
+func packedPanelScalar(c, a, seg []float32, lo, hi, jj, k, n int) {
 	for i := lo; i < hi; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n+jj : i*n+jj+16]
@@ -125,11 +116,7 @@ func packedPanelScalar(c, a, seg []float32, lo, hi, jj, k, n int, acc bool) {
 			for p, av := range ai {
 				s += av * seg[p*16+j]
 			}
-			if acc {
-				ci[j] += s
-			} else {
-				ci[j] = s
-			}
+			ci[j] = s
 		}
 	}
 }

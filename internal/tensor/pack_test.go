@@ -9,7 +9,7 @@ import (
 // TestPackedTransBMatchesScalar verifies PackTransB + MatMulTransBPackedSlice
 // against the scalar A·Bᵀ kernel on the raw operand, bitwise, over shapes
 // with remainder rows (m not a multiple of 4) and remainder columns (n not
-// a multiple of 16), in both overwrite and accumulate modes.
+// a multiple of 16).
 func TestPackedTransBMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 13, 64, 100} {
@@ -25,22 +25,14 @@ func TestPackedTransBMatchesScalar(t *testing.T) {
 				}
 				bp := make([]float32, n*k)
 				PackTransB(bp, b, n, k)
-				for _, acc := range []bool{false, true} {
-					want := make([]float32, m*n)
-					got := make([]float32, m*n)
-					if acc {
-						for i := range want {
-							v := float32(rng.NormFloat64())
-							want[i], got[i] = v, v
-						}
-					}
-					matmulTransBRowsScalar(want, a, b, 0, m, k, n, acc)
-					MatMulTransBPackedSlice(got, a, bp, m, k, n, acc)
-					for i := range want {
-						if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-							t.Fatalf("m=%d k=%d n=%d acc=%v: C[%d] packed %x scalar %x",
-								m, k, n, acc, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-						}
+				want := make([]float32, m*n)
+				got := make([]float32, m*n)
+				matmulTransBRowsScalar(want, a, b, 0, m, k, n)
+				MatMulTransBPackedSlice(got, a, bp, m, k, n)
+				for i := range want {
+					if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+						t.Fatalf("m=%d k=%d n=%d: C[%d] packed %x scalar %x",
+							m, k, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 					}
 				}
 			}

@@ -6,6 +6,10 @@ package tensor
 // everywhere.
 const useAVX2 = false
 
-func matmulTransBRowsAVX2(c, a, b []float32, lo, hi, k, n int, acc bool) {
-	matmulTransBRowsScalar(c, a, b, lo, hi, k, n, acc)
+func matmulTransBRowsAVX2(c, a, b []float32, lo, hi, k, n int) {
+	matmulTransBRowsScalar(c, a, b, lo, hi, k, n)
+}
+
+func matmulSegAccAVX2(c, a, b []float32, m, k, n, seg, jlo, jhi int) {
+	matmulSegAccScalar(c, a, b, 0, m, k, n, seg, jlo, jhi)
 }

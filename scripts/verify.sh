@@ -111,7 +111,7 @@ for tier in "$@"; do
         echo "== hot path: race hammer =="
         go test -race ./internal/tensor ./internal/nn ./internal/algo ./internal/flnet
         echo "== hot path: shard/quorum/sparse hammer =="
-        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|LinearMaskStatic|ConvUnmask|Conv2DBatchFused|MatMulSparsePath' \
+        go test -race -run 'Shard|Tree|Async|Quorum|Massive|SSFL|MaskAgree|LinearMaskStatic|ConvUnmask|Conv2DBatchFused|MatMulSparsePath|MatMulSegAcc' \
             ./internal/algo ./internal/flnet ./internal/fl ./internal/nn ./internal/tensor
         echo "== hot path: streaming-fold hammer =="
         go test -race -count=1 -run 'Stream|Staging|Permutation|RoundCanonical|CollectBatch|Drop' \
